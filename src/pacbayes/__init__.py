@@ -29,7 +29,6 @@ from .risk import (
     QuadraticRisk,
     TanhSyntheticRisk,
     eval_risk,
-    record_evals,
 )
 from .weighting import (
     SurrogateFit,
@@ -81,7 +80,6 @@ __all__ = [
     "QuadraticRisk",
     "TanhSyntheticRisk",
     "eval_risk",
-    "record_evals",
     "SurrogateFit",
     "exact_voronoi_weights_1d",
     "importance_weights",

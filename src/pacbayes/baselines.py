@@ -18,7 +18,13 @@ import numpy as np
 from .families import DomainError
 from .risk import eval_risk
 from .seeding import ROLE_DRAW, ROLE_REPORT, child_seed
-from .solver import SolverTrace, TraceRecord, catoni_bound, catoni_objective
+from .solver import (
+    SolverTrace,
+    TraceRecord,
+    _require_integers,
+    catoni_bound,
+    catoni_objective,
+)
 
 _MIN_SCALE = 1e-12
 
@@ -49,6 +55,7 @@ class GDConfig:
     diag_samples: int = 1000
 
     def __post_init__(self):
+        _require_integers(self, "per_step", "max_queries", "diag_samples")
         if not self.step_size > 0:
             raise ValueError("step_size must be positive")
         if not 0 <= self.momentum < 1:

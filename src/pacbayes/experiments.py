@@ -109,12 +109,13 @@ def _parse_params(spec, family, where):
             )
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}", field=where) from None
-    theta = np.asarray(spec, dtype=float)
+    expected = f"{where}: expected {family.dim} natural coordinates inside the domain"
+    try:
+        theta = np.asarray(spec, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(expected, field=where) from None
     if theta.shape != (family.dim,) or not family.in_domain(theta):
-        raise ConfigError(
-            f"{where}: expected {family.dim} natural coordinates inside the domain",
-            field=where,
-        )
+        raise ConfigError(expected, field=where)
     return theta
 
 
@@ -134,10 +135,9 @@ def _build_risk(data, family, run_seed):
             raise ConfigError(f"risk: {exc}", field="risk") from None
     if kind == "tanh_synthetic":
         _reject_unknown(data, ("kind", "omega", "a_matrix", "x0", "sampled"), "risk.")
-        if data.get("sampled"):
-            task = sample_synthetic_task(run_seed, family.predictor_dim)
-            return task.risk
         try:
+            if data.get("sampled"):
+                return sample_synthetic_task(run_seed, family.predictor_dim).risk
             return TanhSyntheticRisk(
                 omega=float(_require(data, "omega", "risk.")),
                 a_matrix=np.asarray(_require(data, "a_matrix", "risk."), dtype=float),
@@ -226,7 +226,9 @@ def _run_single(method, config, family, theta_p, theta0, run_seed):
     n_tasks = tasks_block.get("n_tasks", 10)
     if not isinstance(n_tasks, int) or n_tasks < 1:
         raise ConfigError("tasks.n_tasks must be a positive integer", field="tasks.n_tasks")
-    task_lam = float(tasks_block.get("lambda", 0.1))
+    task_lam = tasks_block.get("lambda", 0.1)
+    if not isinstance(task_lam, (int, float)) or not task_lam > 0:
+        raise ConfigError("tasks.lambda must be a positive number", field="tasks.lambda")
     block = dict(_require(config, "meta", ""))
     if "inner_first" not in block:
         raise ConfigError("meta.inner_first is required", field="meta.inner_first")
@@ -234,13 +236,16 @@ def _run_single(method, config, family, theta_p, theta0, run_seed):
     if block.get("inner_warm") is not None:
         block["inner_warm"] = _catoni_from(block["inner_warm"], "meta.inner_warm.")
     meta_cfg = _dataclass_from(MetaConfig, block, "meta.")
-    env = TaskEnvironment.sample(child_seed(run_seed, 0, ROLE_TASK), family.predictor_dim)
-    tasks = [
-        sample_synthetic_task(
-            child_int(run_seed, 1, i, ROLE_TASK), family.predictor_dim, env=env, lam=task_lam
-        )
-        for i in range(n_tasks)
-    ]
+    try:
+        env = TaskEnvironment.sample(child_seed(run_seed, 0, ROLE_TASK), family.predictor_dim)
+        tasks = [
+            sample_synthetic_task(
+                child_int(run_seed, 1, i, ROLE_TASK), family.predictor_dim, env=env, lam=task_lam
+            )
+            for i in range(n_tasks)
+        ]
+    except ValueError as exc:
+        raise ConfigError(f"tasks: {exc}", field="tasks") from None
     theta_prior, trace = run_meta_sgd(family, tasks, theta_p, meta_cfg, run_seed)
     return theta_prior, {"meta_trace": trace.to_csv}
 

@@ -14,16 +14,22 @@ a KL trust region.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .families import DomainError, params_from_json
+from .families import DomainError
 from .risk import EvalStack, QuadraticRisk, TanhSyntheticRisk, eval_risk
 from .seeding import ROLE_EVAL, ROLE_SHUFFLE, ROLE_TASK, child_int, child_seed, make_rng
-from .solver import CatoniConfig, catoni_objective, damped_update, run_supac_ce
+from .solver import (
+    CatoniConfig,
+    RecordTable,
+    _require_integers,
+    catoni_objective,
+    damped_update,
+    run_supac_ce,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,29 +167,41 @@ def meta_gradient(family, theta_p, posteriors, lams):
     return grad
 
 
-def _inner_for(task, inner_config):
-    """Inner solver settings with the task's own temperature."""
-    if inner_config.lam == task.lam:
-        return inner_config
-    return replace(inner_config, lam=task.lam)
+def _solve_and_score(family, task, idx, theta_p, inner_config, n_eval, seed, branch, warm):
+    """Solve task ``idx`` at prior ``theta_p`` and estimate its objective.
 
-
-def _objective_at(family, risk, lam, theta, theta_p, n_eval, seed):
-    """Task objective at a solved posterior; exact when closed forms exist."""
-    if isinstance(risk, QuadraticRisk):
-        mean_risk = risk.expected_value(theta)
-    else:
-        points = family.sample(theta, n_eval, seed)
-        mean_risk = float(np.mean(eval_risk(risk, points)))
-    return catoni_objective(mean_risk, family.kl(theta, theta_p), lam)
-
-
-def _solve_task(task_index, *args, **kwargs):
-    """Run one inner solve, tagging failures with the offending task."""
+    The solve runs with the task's own temperature, and its streams follow
+    the path (seed, branch, idx).  A warm solve restarts from the task's
+    stored posterior (the prior on a first visit) on the task's ledger, and
+    stores the new posterior and objective on the task; a cold solve starts
+    from the prior on a fresh ledger and leaves the task untouched.  The
+    objective is exact when the risk has closed forms.  Any failure is
+    re-raised as one ValueError that names the task, chained to its cause.
+    """
+    if inner_config.lam != task.lam:
+        inner_config = replace(inner_config, lam=task.lam)
+    theta0 = task.posterior if warm and task.posterior is not None else theta_p
     try:
-        return run_supac_ce(*args, **kwargs)
+        theta, _, _ = run_supac_ce(
+            task.risk,
+            family,
+            theta_p,
+            theta0,
+            inner_config,
+            child_int(seed, branch, idx, ROLE_TASK),
+            stack=task.stack if warm else None,
+        )
+        if isinstance(task.risk, QuadraticRisk):
+            mean_risk = task.risk.expected_value(theta)
+        else:
+            points = family.sample(theta, n_eval, child_seed(seed, branch, idx, ROLE_EVAL))
+            mean_risk = float(np.mean(eval_risk(task.risk, points)))
     except Exception as exc:
-        raise type(exc)(f"inner solve failed for task {task_index}: {exc}") from exc
+        raise ValueError(f"inner solve failed for task {idx}: {exc}") from exc
+    objective = catoni_objective(mean_risk, family.kl(theta, theta_p), task.lam)
+    if warm:
+        task.posterior, task.objective = theta, objective
+    return objective
 
 
 def meta_objective(family, theta_p, tasks, inner_config, seed, n_eval=2000, warm=True):
@@ -197,32 +215,9 @@ def meta_objective(family, theta_p, tasks, inner_config, seed, n_eval=2000, warm
     """
     total = 0.0
     for idx, task in enumerate(tasks):
-        use_warm = warm and task.posterior is not None
-        theta0 = task.posterior if use_warm else theta_p
-        stack = task.stack if warm else None
-        theta_i, _, _ = _solve_task(
-            idx,
-            task.risk,
-            family,
-            theta_p,
-            theta0,
-            _inner_for(task, inner_config),
-            child_int(seed, 0, idx, ROLE_TASK),
-            stack=stack,
+        total += _solve_and_score(
+            family, task, idx, theta_p, inner_config, n_eval, seed, 0, warm=warm
         )
-        obj = _objective_at(
-            family,
-            task.risk,
-            task.lam,
-            theta_i,
-            theta_p,
-            n_eval,
-            child_seed(seed, 0, idx, ROLE_EVAL),
-        )
-        if warm:
-            task.posterior = theta_i
-            task.objective = obj
-        total += obj
     return total
 
 
@@ -246,6 +241,7 @@ class MetaConfig:
     n_eval: int = 2000
 
     def __post_init__(self):
+        _require_integers(self, "epochs", "batch_size", "n_eval")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.inner_warm is None:
@@ -269,24 +265,10 @@ class MetaRecord:
     theta_p: np.ndarray
 
 
-class MetaTrace:
+class MetaTrace(RecordTable):
     """Per-batch history of the prior updates."""
 
-    _COLUMNS = ("epoch", "batch", "meta_obj", "kl_step", "theta_p_json")
-
-    def __init__(self):
-        self.records = []
-
-    def __len__(self):
-        return len(self.records)
-
-    def append(self, record):
-        self.records.append(record)
-
-    def column(self, name):
-        if name not in ("epoch", "batch", "meta_obj", "kl_step"):
-            raise KeyError(name)
-        return np.asarray([getattr(r, name) for r in self.records])
+    record = MetaRecord
 
     def priors_by_epoch(self):
         """Prior at the end of each epoch, in epoch order."""
@@ -294,41 +276,6 @@ class MetaTrace:
         for r in self.records:
             out[r.epoch] = r.theta_p
         return [out[e] for e in sorted(out)]
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self._COLUMNS)
-            for r in self.records:
-                writer.writerow(
-                    [
-                        int(r.epoch),
-                        int(r.batch),
-                        repr(float(r.meta_obj)),
-                        repr(float(r.kl_step)),
-                        json.dumps([float(v) for v in r.theta_p]),
-                    ]
-                )
-
-    @classmethod
-    def from_csv(cls, path):
-        trace = cls()
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = tuple(next(reader))
-            if header != cls._COLUMNS:
-                raise ValueError("unrecognized meta trace header")
-            for row in reader:
-                trace.append(
-                    MetaRecord(
-                        epoch=int(row[0]),
-                        batch=int(row[1]),
-                        meta_obj=float(row[2]),
-                        kl_step=float(row[3]),
-                        theta_p=params_from_json(row[4]),
-                    )
-                )
-        return trace
 
 
 def run_meta_sgd(family, tasks, theta_p0, config, seed):
@@ -362,30 +309,12 @@ def run_meta_sgd(family, tasks, theta_p0, config, seed):
             objectives = []
             for ti in batch:
                 task = tasks[int(ti)]
-                warm = task.posterior is not None
-                inner = config.inner_warm if warm else config.inner_first
-                theta0 = task.posterior if warm else theta_p
-                theta_i, _, _ = _solve_task(
-                    int(ti),
-                    task.risk,
-                    family,
-                    theta_p,
-                    theta0,
-                    _inner_for(task, inner),
-                    child_int(seed, epoch, int(ti), ROLE_TASK),
-                    stack=task.stack,
+                inner = config.inner_first if task.posterior is None else config.inner_warm
+                objectives.append(
+                    _solve_and_score(
+                        family, task, int(ti), theta_p, inner, config.n_eval, seed, epoch, warm=True
+                    )
                 )
-                task.posterior = theta_i
-                task.objective = _objective_at(
-                    family,
-                    task.risk,
-                    task.lam,
-                    theta_i,
-                    theta_p,
-                    config.n_eval,
-                    child_seed(seed, epoch, int(ti), ROLE_EVAL),
-                )
-                objectives.append(task.objective)
             posteriors = [tasks[int(ti)].posterior for ti in batch]
             lams = [tasks[int(ti)].lam for ti in batch]
             grad = meta_gradient(family, theta_p, posteriors, lams) / len(batch)
@@ -413,27 +342,8 @@ def evaluate_prior(family, tasks, theta_p, inner_config, seed, n_eval=10_000):
     the task objects are not modified), and its objective is estimated with
     ``n_eval`` fresh draws at the solved posterior.
     """
-    scores = []
-    for idx, task in enumerate(tasks):
-        theta_i, _, _ = _solve_task(
-            idx,
-            task.risk,
-            family,
-            theta_p,
-            theta_p,
-            _inner_for(task, inner_config),
-            child_int(seed, 1, idx, ROLE_TASK),
-            stack=None,
-        )
-        scores.append(
-            _objective_at(
-                family,
-                task.risk,
-                task.lam,
-                theta_i,
-                theta_p,
-                n_eval,
-                child_seed(seed, 1, idx, ROLE_EVAL),
-            )
-        )
+    scores = [
+        _solve_and_score(family, task, idx, theta_p, inner_config, n_eval, seed, 1, warm=False)
+        for idx, task in enumerate(tasks)
+    ]
     return float(np.mean(scores))

@@ -1,9 +1,9 @@
 """Risk functionals and the append-only evaluation ledger.
 
 Risks are pure callables mapping a batch of predictors (n, k) to a float
-vector (n,); every training query goes through :func:`record_evals` so budget
-accounting stays exact.  Two concrete risk types are provided: an affine
-function of the sufficient statistic (closed forms available, used for
+vector (n,); every training query goes through :meth:`EvalStack.record` so
+budget accounting stays exact.  Two concrete risk types are provided: an
+affine function of the sufficient statistic (closed forms available, used for
 verification) and the bounded synthetic benchmark risk.
 """
 
@@ -203,7 +203,3 @@ class EvalStack:
             stack._steps = np.asarray(steps, dtype=int)
         return stack
 
-
-def record_evals(stack, points, values, step):
-    """Append evaluated points to the ledger; returns the stack."""
-    return stack.record(points, values, step)

@@ -16,12 +16,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Integral
 
 import numpy as np
 
 from .families import DomainError, params_from_json
-from .risk import eval_risk, record_evals, EvalStack
+from .risk import EvalStack, eval_risk
 from .seeding import ROLE_DRAW, ROLE_EVAL, ROLE_REPORT, ROLE_WEIGHTS, child_seed
 from .weighting import (
     GRAM_CONDITION_LIMIT,
@@ -33,6 +34,13 @@ from .weighting import (
 )
 
 _WEIGHTINGS = ("voronoi", "exact1d", "uniform", "importance")
+
+
+def _require_integers(config, *names):
+    """Reject config fields that do not hold integers (2.0 included)."""
+    for name in names:
+        if not isinstance(getattr(config, name), Integral):
+            raise ValueError(f"{name} must be an integer")
 
 
 @dataclass
@@ -67,7 +75,8 @@ class CatoniConfig:
     convergence_kl_tol : float
         Stop once the realized KL step falls below this.
     weighting : str
-        One of "voronoi", "exact1d", "uniform", "importance".
+        One of "voronoi", "exact1d", "uniform", "importance".  "uniform"
+        averages each step's own batch, so it needs draws at every step.
     record_trace : bool
         Disable to skip the per-step reporting pass (the trace stays empty).
     """
@@ -88,6 +97,9 @@ class CatoniConfig:
     record_trace: bool = True
 
     def __post_init__(self):
+        _require_integers(
+            self, "n_data", "n_initial_queries", "n_queries_per_step", "n_mc_weights", "max_steps"
+        )
         if not self.lam > 0:
             raise ValueError("lam must be positive")
         if not 0 < self.delta < 1:
@@ -101,10 +113,10 @@ class CatoniConfig:
         if not 0 < self.alpha_max <= 1:
             raise ValueError("alpha_max must lie in (0, 1]")
         if self.query_schedule is not None:
-            sched = tuple(int(v) for v in self.query_schedule)
-            if not sched or any(v < 0 for v in sched):
-                raise ValueError("query_schedule entries must be nonnegative")
-            self.query_schedule = sched
+            sched = tuple(self.query_schedule)
+            if not sched or not all(isinstance(v, Integral) and v >= 0 for v in sched):
+                raise ValueError("query_schedule entries must be nonnegative integers")
+            self.query_schedule = tuple(int(v) for v in sched)
         if self.n_initial_queries < 0 or self.n_queries_per_step < 0:
             raise ValueError("query counts must be nonnegative")
         if self.n_mc_weights < 1:
@@ -115,6 +127,14 @@ class CatoniConfig:
             raise ValueError("convergence_kl_tol must be nonnegative")
         if self.weighting not in _WEIGHTINGS:
             raise ValueError(f"weighting must be one of {_WEIGHTINGS}")
+        # Uniform weights average the current step's batch, so every step that
+        # runs must draw.  The schedule repeats its last entry, so its first
+        # len(schedule) steps hold every draw count.
+        distinct_steps = 2 if self.query_schedule is None else len(self.query_schedule)
+        if self.weighting == "uniform" and any(
+            self.queries_at(step) == 0 for step in range(min(self.max_steps, distinct_steps))
+        ):
+            raise ValueError("uniform weighting needs fresh draws at every step")
 
     def queries_at(self, step):
         """Draw count for a given solver step."""
@@ -192,6 +212,67 @@ def estimate_mean_risk(stack, weights):
     return float(np.dot(np.asarray(weights, dtype=float), stack.values))
 
 
+def _cell_codec(field):
+    """Column name, writer and reader for one field of a record dataclass."""
+    if field.type in ("int", int):
+        return field.name, int, int
+    if field.type in ("float", float):
+        return field.name, lambda v: repr(float(v)), float
+    return field.name + "_json", lambda v: json.dumps([float(x) for x in v]), params_from_json
+
+
+class RecordTable:
+    """Rows of one record dataclass, written to and read from CSV.
+
+    Subclasses name the dataclass in ``record``.  Its ``int`` fields are
+    written as integers and its ``float`` fields as ``repr(float)``; its one
+    array field is written as a JSON list under the column ``<name>_json``.
+    """
+
+    record = None
+
+    def __init__(self):
+        self.records = []
+
+    def __len__(self):
+        return len(self.records)
+
+    def append(self, record):
+        self.records.append(record)
+
+    @classmethod
+    def _columns(cls):
+        """(field, column, write, read) for each field of the record, in order."""
+        return [(f.name, *_cell_codec(f)) for f in fields(cls.record)]
+
+    def column(self, name):
+        """Values of one scalar column as an array."""
+        if name not in [field for field, column, _, _ in self._columns() if field == column]:
+            raise KeyError(name)
+        return np.asarray([getattr(r, name) for r in self.records])
+
+    def to_csv(self, path):
+        columns = self._columns()
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([column for _, column, _, _ in columns])
+            for r in self.records:
+                writer.writerow([write(getattr(r, field)) for field, _, write, _ in columns])
+
+    @classmethod
+    def from_csv(cls, path):
+        columns = cls._columns()
+        table = cls()
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) != [column for _, column, _, _ in columns]:
+                raise ValueError(f"unrecognized {cls.__name__} header")
+            for row in reader:
+                cells = zip(columns, row, strict=True)
+                table.append(cls.record(**{field: read(cell) for (field, _, _, read), cell in cells}))
+        return table
+
+
 @dataclass
 class TraceRecord:
     step: int
@@ -203,7 +284,7 @@ class TraceRecord:
     theta: np.ndarray
 
 
-class SolverTrace:
+class SolverTrace(RecordTable):
     """Per-step history of a solver run.
 
     Each record describes a completed step: cumulative ledger queries, the
@@ -211,22 +292,7 @@ class SolverTrace:
     prior, the damping factor used, and the iterate itself.
     """
 
-    _COLUMNS = ("step", "queries", "obj_cat", "pb_cat", "kl_to_prior", "alpha", "theta_json")
-
-    def __init__(self):
-        self.records = []
-
-    def __len__(self):
-        return len(self.records)
-
-    def append(self, record):
-        self.records.append(record)
-
-    def column(self, name):
-        """Values of one scalar column as an array."""
-        if name not in ("step", "queries", "obj_cat", "pb_cat", "kl_to_prior", "alpha"):
-            raise KeyError(name)
-        return np.asarray([getattr(r, name) for r in self.records])
+    record = TraceRecord
 
     @property
     def query_grid(self):
@@ -235,45 +301,6 @@ class SolverTrace:
     @property
     def thetas(self):
         return [r.theta for r in self.records]
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self._COLUMNS)
-            for r in self.records:
-                writer.writerow(
-                    [
-                        int(r.step),
-                        int(r.queries),
-                        repr(float(r.obj_cat)),
-                        repr(float(r.pb_cat)),
-                        repr(float(r.kl_to_prior)),
-                        repr(float(r.alpha)),
-                        json.dumps([float(v) for v in r.theta]),
-                    ]
-                )
-
-    @classmethod
-    def from_csv(cls, path):
-        trace = cls()
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = tuple(next(reader))
-            if header != cls._COLUMNS:
-                raise ValueError("unrecognized trace header")
-            for row in reader:
-                trace.append(
-                    TraceRecord(
-                        step=int(row[0]),
-                        queries=int(row[1]),
-                        obj_cat=float(row[2]),
-                        pb_cat=float(row[3]),
-                        kl_to_prior=float(row[4]),
-                        alpha=float(row[5]),
-                        theta=params_from_json(row[6]),
-                    )
-                )
-        return trace
 
 
 def _weights_for(config, stack, family, theta, seed, current_step, generation_params):
@@ -328,7 +355,7 @@ def run_supac_ce(risk, family, theta_p, theta0, config, seed, stack=None):
         if n_draw > 0:
             points = family.sample(theta, n_draw, child_seed(seed, step, ROLE_DRAW))
             values = eval_risk(risk, points)
-            record_evals(stack, points, values, step_offset + step)
+            stack.record(points, values, step_offset + step)
             generation_params[step_offset + step] = theta.copy()
         if len(stack) == 0:
             raise ValueError(

@@ -26,6 +26,8 @@ def test_gd_config_validation():
         GDConfig(step_size=0.1, per_step=0)
     with pytest.raises(ValueError):
         GDConfig(step_size=0.1, per_step=100, max_queries=50)
+    with pytest.raises(ValueError, match="per_step"):
+        GDConfig(step_size=0.1, per_step=32.0)
 
 
 def test_gradient_estimate_zero_mean_for_constant_risk():

@@ -1,6 +1,7 @@
 """Config-driven experiment runs, aggregation and the command line."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -181,8 +182,8 @@ def test_sampled_risk_differs_across_repeats(tmp_path):
     assert stacks[0] != stacks[1]
 
 
-def test_meta_method_runs(tmp_path):
-    cfg = {
+def meta_config(output_dir):
+    return {
         "method": "meta",
         "family": {"structure": "diag", "predictor_dim": 3},
         "tasks": {"n_tasks": 3, "lambda": 0.1},
@@ -208,9 +209,12 @@ def test_meta_method_runs(tmp_path):
         },
         "repeats": 1,
         "master_seed": 11,
-        "output_dir": str(tmp_path),
+        "output_dir": str(output_dir),
     }
-    manifest = run_experiment(cfg)
+
+
+def test_meta_method_runs(tmp_path):
+    manifest = run_experiment(meta_config(tmp_path))
     assert set(manifest["outputs"]) == {"meta_trace_000.csv", "prior_000.json"}
 
 
@@ -297,7 +301,7 @@ def test_cli_run_and_aggregate(tmp_path):
     assert len(lines) > 1
 
 
-def test_cli_error_exit_codes(tmp_path):
+def test_cli_error_exit_codes(tmp_path, capsys):
     bad_cfg = tmp_path / "bad.json"
     bad_cfg.write_text(json.dumps({"method": "sgd_fancy"}))
     assert main(["run", "--config", str(bad_cfg)]) == 2
@@ -305,6 +309,36 @@ def test_cli_error_exit_codes(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert main(["aggregate", "--input", str(empty), "--output", str(tmp_path / "x.csv")]) == 1
+
+    # invalid values that used to surface as runtime failures
+    bad_prior = dict(supac_config(tmp_path / "out"), prior="foo")
+    float_steps = supac_config(tmp_path / "out")
+    float_steps["supac_ce"]["max_steps"] = 2.0
+    fractional_mc = supac_config(tmp_path / "out")
+    fractional_mc["supac_ce"]["n_mc_weights"] = 100.5
+    sampled_2d = supac_config(tmp_path / "out")
+    sampled_2d["family"] = {"structure": "full", "predictor_dim": 2}
+    sampled_2d["risk"] = {"kind": "tanh_synthetic", "sampled": True}
+    meta_2d = dict(meta_config(tmp_path / "out"), family={"structure": "diag", "predictor_dim": 2})
+    meta_float_epochs = meta_config(tmp_path / "out")
+    meta_float_epochs["meta"]["epochs"] = 2.0
+    meta_bad_lambda = dict(meta_config(tmp_path / "out"), tasks={"n_tasks": 2, "lambda": -0.1})
+    for i, cfg in enumerate(
+        [bad_prior, float_steps, fractional_mc, sampled_2d, meta_2d, meta_float_epochs, meta_bad_lambda]
+    ):
+        path = tmp_path / f"invalid_{i}.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path)]) == 2, cfg
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+    # a failing meta inner solve is a runtime failure whose message names the task
+    starved = meta_config(tmp_path / "starved")
+    starved["meta"]["inner_first"]["n_initial_queries"] = 2
+    path = tmp_path / "starved.json"
+    path.write_text(json.dumps(starved))
+    capsys.readouterr()
+    assert main(["run", "--config", str(path)]) == 1
+    assert re.search(r"^error: inner solve failed for task \d+: ", capsys.readouterr().err, re.M)
 
 
 def test_cli_seed_and_output_overrides(tmp_path):

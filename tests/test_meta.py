@@ -183,6 +183,8 @@ def test_meta_config_validation_and_warm_default():
         MetaConfig(epochs=0, inner_first=inner)
     with pytest.raises(ValueError):
         MetaConfig(epochs=1, inner_first=inner, meta_kl_max=0.0)
+    with pytest.raises(ValueError, match="epochs"):
+        MetaConfig(epochs=2.0, inner_first=inner)
 
 
 def test_meta_sgd_stationary_for_zero_risk_tasks():
@@ -283,6 +285,19 @@ def test_inner_solve_failures_name_the_task():
     )
     with pytest.raises(ValueError, match="task 1"):
         meta_objective(fam, theta_p, [good, bad], exact_inner_config(0.5), seed=0, warm=False)
+
+    # an error class whose constructor takes two arguments is chained, not rebuilt
+    class BackendError(Exception):
+        def __init__(self, code, detail):
+            super().__init__(f"{code}: {detail}")
+
+    def failing_backend(x):
+        raise BackendError(503, "risk backend unavailable")
+
+    bad = TaskSpec(risk=CustomRisk(failing_backend, 1), lam=0.5, stack=EvalStack(1))
+    with pytest.raises(ValueError, match="task 1.*risk backend unavailable") as info:
+        meta_objective(fam, theta_p, [good, bad], exact_inner_config(0.5), seed=0, warm=False)
+    assert isinstance(info.value.__cause__, BackendError)
 
 
 def test_meta_sgd_respects_per_task_temperatures():

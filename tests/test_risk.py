@@ -10,7 +10,6 @@ from pacbayes import (
     QuadraticRisk,
     TanhSyntheticRisk,
     eval_risk,
-    record_evals,
     standard_normal_params,
 )
 
@@ -116,16 +115,16 @@ def test_eval_stack_accounting():
     stack = EvalStack(2)
     assert len(stack) == 0 and stack.query_count == 0 and stack.next_step() == 0
     pts = np.arange(6.0).reshape(3, 2)
-    record_evals(stack, pts, [0.1, 0.2, 0.3], step=0)
+    stack.record(pts, [0.1, 0.2, 0.3], step=0)
     assert stack.query_count == 3
-    record_evals(stack, pts + 10.0, [1.0, 2.0, 3.0], step=1)
+    stack.record(pts + 10.0, [1.0, 2.0, 3.0], step=1)
     assert stack.query_count == 6
     np.testing.assert_array_equal(stack.steps, [0, 0, 0, 1, 1, 1])
     np.testing.assert_allclose(stack.points[:3], pts)
     np.testing.assert_allclose(stack.values[3:], [1.0, 2.0, 3.0])
     assert stack.next_step() == 2
     # appending an empty batch leaves the ledger unchanged
-    record_evals(stack, np.empty((0, 2)), np.empty(0), step=2)
+    stack.record(np.empty((0, 2)), np.empty(0), step=2)
     assert stack.query_count == 6
     assert stack.next_step() == 2
 

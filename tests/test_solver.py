@@ -9,6 +9,7 @@ from pacbayes import (
     CatoniConfig,
     EvalStack,
     GaussianFamily,
+    MetaTrace,
     QuadraticRisk,
     SolverTrace,
     TraceRecord,
@@ -22,6 +23,7 @@ from pacbayes import (
     standard_normal_params,
     surrogate_argmin,
 )
+from pacbayes.meta import MetaRecord
 
 from _oracles import family_moments, fd_grad, gauss_expect, quad_projection
 
@@ -52,6 +54,29 @@ def test_config_validation():
         CatoniConfig(lam=1.0, weighting="nearest")
     with pytest.raises(ValueError):
         CatoniConfig(lam=1.0, query_schedule=[10, -1])
+    # integer fields reject floats, including integral ones from JSON
+    with pytest.raises(ValueError, match="max_steps"):
+        CatoniConfig(lam=1.0, max_steps=2.0)
+    with pytest.raises(ValueError, match="n_mc_weights"):
+        CatoniConfig(lam=1.0, n_mc_weights=100.5)
+    with pytest.raises(ValueError, match="query_schedule"):
+        CatoniConfig(lam=1.0, query_schedule=[10, 2.5])
+
+
+def test_uniform_weighting_rejects_zero_draw_steps():
+    # uniform weights average the current step's batch, which a zero-draw
+    # step leaves empty
+    with pytest.raises(ValueError, match="uniform"):
+        CatoniConfig(lam=1.0, query_schedule=(100, 0, 20), weighting="uniform")
+    with pytest.raises(ValueError, match="uniform"):
+        CatoniConfig(lam=1.0, n_queries_per_step=0, weighting="uniform")
+    # a zero-draw step past max_steps never runs
+    fam = GaussianFamily(1)
+    theta_p = standard_normal_params(fam)
+    risk = QuadraticRisk(fam, eta=np.array([0.3, 0.1]))
+    cfg = small_config(query_schedule=(16, 0), max_steps=1, weighting="uniform")
+    _, trace, stack = run_supac_ce(risk, fam, theta_p, theta_p, cfg, seed=4)
+    assert len(trace) == 1 and stack.query_count == 16
 
 
 def test_query_schedule():
@@ -311,6 +336,32 @@ def test_solver_trace_csv_round_trip(tmp_path):
         np.testing.assert_array_equal(a, b)
     with pytest.raises(KeyError):
         trace.column("theta")
+
+
+def test_trace_csv_text_is_pinned_and_headers_checked(tmp_path):
+    solver = SolverTrace()
+    solver.append(TraceRecord(0, 16, 0.5, 1.25, 0.0, 1.0, np.array([0.5, -1.0])))
+    solver.append(TraceRecord(1, 20, 1 / 3, -2.0, 1e-20, 0.125, np.array([0.1, 3.0])))
+    meta = MetaTrace()
+    meta.append(MetaRecord(0, 0, 2.5, 0.2, np.array([0.0, -0.5])))
+    meta.append(MetaRecord(0, 1, 1 / 3, 1e-20, np.array([0.25])))
+    solver.to_csv(tmp_path / "trace.csv")
+    meta.to_csv(tmp_path / "meta.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == (
+        b"step,queries,obj_cat,pb_cat,kl_to_prior,alpha,theta_json\r\n"
+        b'0,16,0.5,1.25,0.0,1.0,"[0.5, -1.0]"\r\n'
+        b'1,20,0.3333333333333333,-2.0,1e-20,0.125,"[0.1, 3.0]"\r\n'
+    )
+    assert (tmp_path / "meta.csv").read_bytes() == (
+        b"epoch,batch,meta_obj,kl_step,theta_p_json\r\n"
+        b'0,0,2.5,0.2,"[0.0, -0.5]"\r\n'
+        b"0,1,0.3333333333333333,1e-20,[0.25]\r\n"
+    )
+    # each table refuses the other's file
+    with pytest.raises(ValueError, match="header"):
+        SolverTrace.from_csv(tmp_path / "meta.csv")
+    with pytest.raises(ValueError, match="header"):
+        MetaTrace.from_csv(tmp_path / "trace.csv")
 
 
 def test_evaluate_objective_matches_closed_form():
