@@ -128,7 +128,9 @@ class EvalStack:
 
     Each entry stores the predictor, its risk value and the solver step that
     paid for it.  ``query_count`` is the budget actually spent; reuse of old
-    entries is free.
+    entries is free.  ``generation_params`` maps a step to the natural
+    parameter its batch was drawn from, when the recorder gave one; it is
+    kept in memory only, so a ledger read back from CSV has none.
     """
 
     def __init__(self, predictor_dim):
@@ -136,6 +138,7 @@ class EvalStack:
         self._points = np.empty((0, self.predictor_dim))
         self._values = np.empty(0)
         self._steps = np.empty(0, dtype=int)
+        self.generation_params = {}
 
     def __len__(self):
         return self._values.size
@@ -156,8 +159,12 @@ class EvalStack:
     def steps(self):
         return self._steps
 
-    def record(self, points, values, step):
-        """Append a batch of evaluations charged to ``step``."""
+    def record(self, points, values, step, theta=None):
+        """Append a batch of evaluations charged to ``step``.
+
+        ``theta``, if given, is the natural parameter the batch was drawn
+        from; it is stored in ``generation_params`` under ``step``.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         vals = np.asarray(values, dtype=float).reshape(-1)
         if pts.shape != (vals.size, self.predictor_dim):
@@ -167,6 +174,8 @@ class EvalStack:
         self._points = np.concatenate([self._points, pts], axis=0)
         self._values = np.concatenate([self._values, vals])
         self._steps = np.concatenate([self._steps, np.full(vals.size, int(step), dtype=int)])
+        if theta is not None:
+            self.generation_params[int(step)] = np.array(theta, dtype=float)
         return self
 
     def next_step(self):

@@ -303,14 +303,14 @@ class SolverTrace(RecordTable):
         return [r.theta for r in self.records]
 
 
-def _weights_for(config, stack, family, theta, seed, current_step, generation_params):
+def _weights_for(config, stack, family, theta, seed, current_step):
     if config.weighting == "voronoi":
         return voronoi_weights(stack, family, theta, n_mc=config.n_mc_weights, seed=seed)
     if config.weighting == "exact1d":
         return exact_voronoi_weights_1d(stack, family, theta)
     if config.weighting == "uniform":
         return uniform_weights(stack, step=current_step)
-    return importance_weights(stack, family, theta, generation_params)
+    return importance_weights(stack, family, theta, stack.generation_params)
 
 
 def run_supac_ce(risk, family, theta_p, theta0, config, seed, stack=None):
@@ -330,7 +330,9 @@ def run_supac_ce(risk, family, theta_p, theta0, config, seed, stack=None):
         Master seed; all draw/weight streams derive from it.
     stack : EvalStack, optional
         Warm-start ledger; new draws are appended to it and the trace query
-        column keeps counting from its current total.
+        column keeps counting from its current total.  Each batch is
+        recorded with the iterate it was drawn from, which importance
+        weighting needs for every step in the ledger.
 
     Returns
     -------
@@ -347,7 +349,6 @@ def run_supac_ce(risk, family, theta_p, theta0, config, seed, stack=None):
     elif stack.predictor_dim != family.predictor_dim:
         raise ValueError("stack predictor dimension does not match the family")
     step_offset = stack.next_step()
-    generation_params = {}
     trace = SolverTrace()
 
     for step in range(config.max_steps):
@@ -355,8 +356,7 @@ def run_supac_ce(risk, family, theta_p, theta0, config, seed, stack=None):
         if n_draw > 0:
             points = family.sample(theta, n_draw, child_seed(seed, step, ROLE_DRAW))
             values = eval_risk(risk, points)
-            stack.record(points, values, step_offset + step)
-            generation_params[step_offset + step] = theta.copy()
+            stack.record(points, values, step_offset + step, theta=theta)
         if len(stack) == 0:
             raise ValueError(
                 "no evaluations available; set n_initial_queries > 0 or pass a warm stack"
@@ -368,7 +368,6 @@ def run_supac_ce(risk, family, theta_p, theta0, config, seed, stack=None):
             theta,
             child_seed(seed, step, ROLE_WEIGHTS),
             step_offset + step,
-            generation_params,
         )
         fit = project(stack, weights, family, theta)
         if step == 0 and not (
@@ -392,7 +391,6 @@ def run_supac_ce(risk, family, theta_p, theta0, config, seed, stack=None):
                 theta_next,
                 child_seed(seed, step, ROLE_REPORT),
                 step_offset + step,
-                generation_params,
             )
             mean_risk = estimate_mean_risk(stack, report_weights)
             kl_prior = family.kl(theta_next, theta_p)

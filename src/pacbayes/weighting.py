@@ -20,8 +20,9 @@ from scipy.special import ndtr
 # Gram condition number beyond which a ridge is added before solving.
 GRAM_CONDITION_LIMIT = 1e12
 _RIDGE_SCALE = 1e-10
-# Cap on the floats per distance block, to bound memory in the 1-NN search.
-_CHUNK_BUDGET = 8_000_000
+# Floats per (draws x stored points) score block in the 1-NN search: about
+# 1 MB, so each block stays in cache while it is built and reduced.
+_CHUNK_BUDGET = 131_072
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,9 +103,11 @@ def voronoi_weights(stack, family, theta, n_mc=40_000, seed=0):
         m = min(chunk, n_mc - done)
         z = rng.standard_normal((m, family.predictor_dim))
         # ||x - z||^2 = ||x||^2 - 2 x.z + ||z||^2; the last term is constant
-        # per column and cannot change the argmin over stored points.
-        scores = xn2[:, None] - 2.0 * (xw @ z.T)
-        counts += np.bincount(np.argmin(scores, axis=0), minlength=n_pts)
+        # per row and cannot change the argmin over stored points.
+        scores = z @ xw.T
+        scores *= -2.0
+        scores += xn2
+        counts += np.bincount(np.argmin(scores, axis=1), minlength=n_pts)
         done += m
     return counts / float(n_mc)
 
@@ -125,12 +128,14 @@ def exact_voronoi_weights_1d(stack, family, theta):
     pts = stack.points[:, 0]
     order = np.argsort(pts, kind="stable")
     sorted_pts = pts[order]
-    mids = 0.5 * (sorted_pts[1:] + sorted_pts[:-1])
+    # The stable sort puts each value's first occurrence first among its copies.
+    first = np.concatenate([[True], sorted_pts[1:] != sorted_pts[:-1]])
+    distinct = sorted_pts[first]
+    mids = 0.5 * (distinct[1:] + distinct[:-1])
     upper = np.concatenate([ndtr((mids - mu) / sd), [1.0]])
     lower = np.concatenate([[0.0], upper[:-1]])
-    cell = upper - lower
     weights = np.zeros(len(stack))
-    weights[order] = cell
+    weights[order[first]] = upper - lower
     return weights
 
 

@@ -251,6 +251,53 @@ def test_solver_warm_stack_continues_accounting():
     assert stack.steps.max() == 5
 
 
+def test_importance_weighting_warm_starts_from_the_ledger(monkeypatch, tmp_path):
+    from pacbayes import importance_weights
+    from pacbayes import solver as solver_mod
+
+    fam = GaussianFamily(3, structure="full")
+    theta_p = standard_normal_params(fam)
+    rng = np.random.default_rng(41)
+    risk = QuadraticRisk(fam, eta=0.1 * rng.standard_normal(fam.dim))
+    cfg = small_config(
+        n_initial_queries=40,
+        n_queries_per_step=20,
+        max_steps=4,
+        kl_max=0.5,
+        alpha_max=0.5,
+        convergence_kl_tol=0.0,
+        weighting="importance",
+    )
+    theta, trace, stack = run_supac_ce(risk, fam, theta_p, theta_p, cfg, seed=3)
+    assert stack.query_count == 100
+    # the batch of step s was drawn from the iterate before step s
+    generation = {0: theta_p, **{s + 1: th for s, th in enumerate(trace.thetas[:-1])}}
+    # a ledger read back from CSV carries no generation parameters
+    stack.to_csv(tmp_path / "stack.csv")
+    with pytest.raises(ValueError, match="missing generation parameter for step 0"):
+        run_supac_ce(
+            risk, fam, theta_p, theta, cfg, seed=4, stack=EvalStack.from_csv(tmp_path / "stack.csv")
+        )
+
+    calls = []
+
+    def spy(stack_, family, theta_, generation_params):
+        w = importance_weights(stack_, family, theta_, generation_params)
+        calls.append((len(stack_), theta_.copy(), w))
+        return w
+
+    monkeypatch.setattr(solver_mod, "importance_weights", spy)
+    _, trace2, _ = run_supac_ce(risk, fam, theta_p, theta, cfg, seed=4, stack=stack)
+    generation.update({4: theta, **{s + 5: th for s, th in enumerate(trace2.thetas[:-1])}})
+    assert len(calls) == 2 * cfg.max_steps
+    for n, theta_w, w in calls:
+        prefix = EvalStack(3)
+        for s in np.unique(stack.steps[:n]):
+            mask = stack.steps[:n] == s
+            prefix.record(stack.points[:n][mask], stack.values[:n][mask], s)
+        np.testing.assert_array_equal(w, importance_weights(prefix, fam, theta_w, generation))
+
+
 def test_solver_requires_identifiable_first_projection():
     fam = GaussianFamily(1)
     theta_p = standard_normal_params(fam)

@@ -90,6 +90,40 @@ def test_voronoi_chunked_search_matches_direct_assignment():
     np.testing.assert_array_equal(w_small_chunks, w_one_chunk)
 
 
+def test_voronoi_blocks_match_cdist_assignment(monkeypatch):
+    # blocks of one draw, and blocks that do not divide n_mc, against a
+    # one-shot cdist 1-NN count over the same Philox draws, whitened metric
+    from scipy.spatial.distance import cdist
+
+    from pacbayes import weighting as wmod
+
+    fam = GaussianFamily(8, structure="full")
+    rng = np.random.default_rng(37)
+    stack = stack_from_points(rng.standard_normal((300, 8)))
+    mean = 0.3 * rng.standard_normal(8)
+    cov = random_spd(rng, 8)
+    theta = fam.natural_from_moments(mean, cov)
+    n_mc, seed = 2000, 19
+    chol = np.linalg.cholesky(cov)
+    xw = np.linalg.solve(chol, (stack.points - mean).T).T
+    z = np.random.Generator(np.random.Philox(seed)).standard_normal((n_mc, 8))
+    expected = np.bincount(np.argmin(cdist(z, xw), axis=1), minlength=300) / n_mc
+    for budget, per_block in ((300, 1), (300 * 7, 7)):
+        monkeypatch.setattr(wmod, "_CHUNK_BUDGET", budget)
+        assert max(1, wmod._CHUNK_BUDGET // 300) == per_block
+        assert per_block == 1 or n_mc % per_block != 0
+        w = voronoi_weights(stack, fam, theta, n_mc=n_mc, seed=seed)
+        np.testing.assert_array_equal(w, expected)
+
+
+def test_exact_voronoi_weights_1d_duplicates_keep_first_occurrence():
+    # under N(0,1), {0, 1} split at 0.5; the second 0 gets nothing
+    fam = GaussianFamily(1)
+    stack = stack_from_points([[0.0], [1.0], [0.0]])
+    w = exact_voronoi_weights_1d(stack, fam, standard_normal_params(fam))
+    np.testing.assert_allclose(w, [ndtr(0.5), 1.0 - ndtr(0.5), 0.0], rtol=1e-12)
+
+
 def test_exact_voronoi_weights_1d():
     fam = GaussianFamily(1)
     stack = stack_from_points([[2.0], [-1.0], [0.0]])  # unsorted on purpose
