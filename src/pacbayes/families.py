@@ -223,24 +223,28 @@ class GaussianFamily:
         q = np.where(diag_pair, -0.5 * qvals, -qvals)
         return np.concatenate([b, q])
 
+    def _moments(self, factor, b):
+        cov = cho_solve(factor, np.eye(self.predictor_dim))
+        cov = 0.5 * (cov + cov.T)
+        return Moments(mean=cho_solve(factor, b), cov=cov)
+
     def moments_from_natural(self, theta):
         """Map natural coordinates to a :class:`Moments` pair."""
         factor, _, b = self._factor(theta)
-        k = self.predictor_dim
-        cov = cho_solve(factor, np.eye(k))
-        cov = 0.5 * (cov + cov.T)
-        mean = cho_solve(factor, b)
-        return Moments(mean=mean, cov=cov)
+        return self._moments(factor, b)
 
     # ------------------------------------------------------------------
     # log partition and derived quantities
 
+    def _log_partition(self, factor, b, mu):
+        """g(theta) from the precision factor, b and the mean mu."""
+        logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+        return float(0.5 * b @ mu - 0.5 * logdet + 0.5 * self.predictor_dim * _LOG_2PI)
+
     def log_partition(self, theta):
         """Log normalizer g(theta) against Lebesgue measure."""
         factor, _, b = self._factor(theta)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-        mu = cho_solve(factor, b)
-        return float(0.5 * b @ mu - 0.5 * logdet + 0.5 * self.predictor_dim * _LOG_2PI)
+        return self._log_partition(factor, b, cho_solve(factor, b))
 
     def log_density(self, theta, x):
         """Log density of pi_theta at x (vectorized over rows of x)."""
@@ -249,11 +253,13 @@ class GaussianFamily:
         theta = self._check_theta(theta)
         return t @ theta - g
 
-    def mean_suff_stat(self, theta):
-        """E[T] under pi_theta, which equals grad g(theta)."""
-        mean, cov = self.moments_from_natural(theta)
+    def _mean_suff_stat(self, mean, cov):
         quad = mean[self._qi] * mean[self._qj] + cov[self._qi, self._qj]
         return np.concatenate([mean, quad])
+
+    def mean_suff_stat(self, theta):
+        """E[T] under pi_theta, which equals grad g(theta)."""
+        return self._mean_suff_stat(*self.moments_from_natural(theta))
 
     def fisher_info(self, theta):
         """Fisher information I(theta) = Cov[T] under pi_theta.
@@ -293,11 +299,16 @@ class GaussianFamily:
 
         Uses the exponential-family identity
         KL = (theta1 - theta2) . grad g(theta1) - g(theta1) + g(theta2).
+        Both terms at theta1 come from one factorization of its precision.
+        Raises :class:`DomainError` when either parameter lies outside the
+        domain.
         """
         theta1 = self._check_theta(theta1)
         theta2 = self._check_theta(theta2)
-        m1 = self.mean_suff_stat(theta1)
-        g1 = self.log_partition(theta1)
+        factor, _, b = self._factor(theta1)
+        mean, cov = self._moments(factor, b)
+        m1 = self._mean_suff_stat(mean, cov)
+        g1 = self._log_partition(factor, b, mean)
         g2 = self.log_partition(theta2)
         return float((theta1 - theta2) @ m1 - g1 + g2)
 

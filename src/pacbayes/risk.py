@@ -130,7 +130,9 @@ class EvalStack:
     paid for it.  ``query_count`` is the budget actually spent; reuse of old
     entries is free.  ``generation_params`` maps a step to the natural
     parameter its batch was drawn from, when the recorder gave one; it is
-    kept in memory only, so a ledger read back from CSV has none.
+    kept in memory only, so a ledger read back from CSV has none.  The log
+    density of each step's batch under a given family and parameter is
+    memoised the same way, at most one float per stored entry.
     """
 
     def __init__(self, predictor_dim):
@@ -139,6 +141,8 @@ class EvalStack:
         self._values = np.empty(0)
         self._steps = np.empty(0, dtype=int)
         self.generation_params = {}
+        # step -> ((family, theta bytes), log density of the step's batch)
+        self._batch_log_densities = {}
 
     def __len__(self):
         return self._values.size
@@ -174,9 +178,24 @@ class EvalStack:
         self._points = np.concatenate([self._points, pts], axis=0)
         self._values = np.concatenate([self._values, vals])
         self._steps = np.concatenate([self._steps, np.full(vals.size, int(step), dtype=int)])
+        self._batch_log_densities.pop(int(step), None)
         if theta is not None:
             self.generation_params[int(step)] = np.array(theta, dtype=float)
         return self
+
+    def _batch_log_density(self, step, family, theta):
+        """Log density under ``family`` at ``theta`` of the batch charged to ``step``.
+
+        The value is reused only for an equal family and a bit-identical
+        ``theta``; recording to ``step`` again drops it.
+        """
+        theta = np.asarray(theta, dtype=float)
+        key = (family, theta.tobytes())
+        entry = self._batch_log_densities.get(step)
+        if entry is None or entry[0] != key:
+            entry = key, family.log_density(theta, self._points[self._steps == step])
+            self._batch_log_densities[step] = entry
+        return entry[1]
 
     def next_step(self):
         """Smallest step index not yet charged (0 on an empty stack)."""

@@ -174,6 +174,8 @@ def damped_update(family, theta, theta_cand, kl_max, alpha_max, *, tol=1e-9, max
     theta) stays in the domain and within KL ``kl_max`` of ``theta``.  The KL
     along the ray is nondecreasing in alpha, so bisection applies; the lower
     (feasible) endpoint is returned once the bracket is within ``tol``.
+    ``theta`` must lie in the domain: a :class:`DomainError` from the KL is
+    read as a candidate outside it.
 
     Returns
     -------
@@ -186,10 +188,10 @@ def damped_update(family, theta, theta_cand, kl_max, alpha_max, *, tol=1e-9, max
         return theta.copy(), float(alpha_max)
 
     def feasible(alpha):
-        cand = theta + alpha * delta
-        if not family.in_domain(cand):
+        try:
+            return family.kl(theta + alpha * delta, theta) <= kl_max
+        except DomainError:
             return False
-        return family.kl(cand, theta) <= kl_max
 
     if feasible(alpha_max):
         return theta + alpha_max * delta, float(alpha_max)

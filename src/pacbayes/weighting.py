@@ -156,17 +156,20 @@ def importance_weights(stack, family, theta, generation_params):
     """Self-normalized density-ratio weights d(pi_theta) / d(pi_generation).
 
     ``generation_params`` maps each ledger step index to the natural
-    parameter the batch was drawn from.
+    parameter the batch was drawn from.  Each batch's log density under its
+    generating parameter is memoised on the stack, so repeated calls pay
+    only for the numerator.
     """
     if len(stack) == 0:
         raise ValueError("evaluation stack is empty")
     log_num = family.log_density(theta, stack.points)
     log_den = np.empty(len(stack))
-    for step in np.unique(stack.steps):
-        if int(step) not in generation_params:
-            raise ValueError(f"missing generation parameter for step {int(step)}")
-        mask = stack.steps == step
-        log_den[mask] = family.log_density(generation_params[int(step)], stack.points[mask])
+    for step in np.unique(stack.steps).tolist():
+        if step not in generation_params:
+            raise ValueError(f"missing generation parameter for step {step}")
+        log_den[stack.steps == step] = stack._batch_log_density(
+            step, family, generation_params[step]
+        )
     log_w = log_num - log_den
     log_w -= log_w.max()
     w = np.exp(log_w)

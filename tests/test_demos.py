@@ -17,9 +17,12 @@ def test_all_demos_are_collected():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
-    # demos write their scratch files under TMPDIR; keep them in tmp_path
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
+    # demos write their scratch files under TMPDIR and must remove them
+    scratch = tmp_path / "tmpdir"
+    scratch.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(scratch))
     proc = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+    assert not list(scratch.iterdir())

@@ -309,6 +309,13 @@ def test_domain_checks():
     bad = fam2.natural_from_moments([0.0, 0.0], np.eye(2)).copy()
     bad[3] = 5.0
     assert not fam2.in_domain(bad)
+    # damped_update reads a DomainError from kl as a candidate outside the domain
+    good = fam2.natural_from_moments([0.0, 0.0], np.eye(2))
+    not_finite = good.copy()
+    not_finite[0] = np.nan
+    for theta1 in (bad, not_finite):
+        with pytest.raises(DomainError):
+            fam2.kl(theta1, good)
 
 
 def test_family_serialization_round_trip():

@@ -165,6 +165,42 @@ def test_importance_weights_ratio_and_normalization():
         importance_weights(stack, fam, theta_new, {})
 
 
+def test_importance_weights_memo_matches_a_fresh_stack():
+    # Two block layouts of the same length read one parameter differently.
+    fam = GaussianFamily(3, structure="block", blocks=[(0, 1), (2,)])
+    other = GaussianFamily(3, structure="block", blocks=[(0,), (1, 2)])
+    rng = np.random.default_rng(5)
+    base = np.array([0.0, 0.0, 0.0, -1.0, -0.5, -0.5, -1.0])
+    thetas = [base + 0.05 * rng.standard_normal(fam.dim) for _ in range(4)]
+    target = thetas[3]
+    stack, rows = EvalStack(3), []
+
+    def record(step, theta):
+        pts = fam.sample(theta, 6, seed=len(rows))
+        stack.record(pts, np.zeros(6), step, theta=theta)
+        rows.append((step, pts))
+
+    def check(family, generation):
+        fresh = EvalStack(3)
+        for step, pts in rows:
+            fresh.record(pts, np.zeros(len(pts)), step)
+        w = importance_weights(stack, family, target, generation)
+        np.testing.assert_array_equal(w, importance_weights(fresh, family, target, generation))
+        memo = stack._batch_log_densities.values()
+        assert sum(density.size for _, density in memo) <= len(stack)
+
+    record(0, thetas[0])
+    record(1, thetas[1])
+    check(fam, stack.generation_params)
+    record(2, thetas[2])  # a new step
+    check(fam, stack.generation_params)
+    record(1, thetas[1])  # more rows for an existing step, same parameter
+    check(fam, stack.generation_params)
+    check(fam, {0: thetas[1], 1: thetas[2], 2: thetas[0]})
+    check(fam, stack.generation_params)
+    check(other, stack.generation_params)
+
+
 def test_project_recovers_in_span_risk_exactly():
     rng = np.random.default_rng(13)
     for fam in (GaussianFamily(1), GaussianFamily(2, structure="full")):
