@@ -15,103 +15,51 @@ with a CLI round out the toolkit.
 
 __version__ = "0.1.0"
 
-from .families import (
-    DomainError,
-    GaussianFamily,
-    Moments,
-    params_from_json,
-    params_to_json,
-    standard_normal_params,
-)
-from .risk import (
-    CustomRisk,
-    EvalStack,
-    QuadraticRisk,
-    TanhSyntheticRisk,
-    eval_risk,
-)
-from .weighting import (
-    SurrogateFit,
-    exact_voronoi_weights_1d,
-    importance_weights,
-    project,
-    uniform_weights,
-    voronoi_weights,
-)
-from .solver import (
-    CatoniConfig,
-    SolverTrace,
-    TraceRecord,
-    bound_offset,
-    catoni_bound,
-    catoni_objective,
-    damped_update,
-    estimate_mean_risk,
-    evaluate_objective,
-    run_supac_ce,
-    surrogate_argmin,
-)
-from .baselines import GDConfig, catoni_gradient_estimate, run_gd
+# The root exports what the README, demos, CLI and benchmark use; every other
+# public name is imported from its module.
+from .families import ConfigError, DomainError, GaussianFamily, standard_normal_params
+from .risk import CustomRisk, EvalStack, QuadraticRisk, TanhSyntheticRisk
+from .weighting import importance_weights, project, voronoi_weights
+from .solver import CatoniConfig, evaluate_objective, run_supac_ce
+from .baselines import GDConfig, run_gd
 from .meta import (
     MetaConfig,
-    MetaTrace,
     TaskEnvironment,
-    TaskSpec,
     evaluate_prior,
-    meta_gradient,
     meta_objective,
     run_meta_sgd,
     sample_synthetic_task,
     tasks_from_json,
     tasks_to_json,
 )
-from .experiments import ConfigError, aggregate, run_experiment
+from .experiments import aggregate, run_experiment
 
 __all__ = [
     "__version__",
     "DomainError",
+    "ConfigError",
     "GaussianFamily",
-    "Moments",
-    "params_from_json",
-    "params_to_json",
     "standard_normal_params",
     "CustomRisk",
     "EvalStack",
     "QuadraticRisk",
     "TanhSyntheticRisk",
-    "eval_risk",
-    "SurrogateFit",
-    "exact_voronoi_weights_1d",
+    "voronoi_weights",
     "importance_weights",
     "project",
-    "uniform_weights",
-    "voronoi_weights",
     "CatoniConfig",
-    "SolverTrace",
-    "TraceRecord",
-    "bound_offset",
-    "catoni_bound",
-    "catoni_objective",
-    "damped_update",
-    "estimate_mean_risk",
-    "evaluate_objective",
     "run_supac_ce",
-    "surrogate_argmin",
+    "evaluate_objective",
     "GDConfig",
-    "catoni_gradient_estimate",
     "run_gd",
     "MetaConfig",
-    "MetaTrace",
     "TaskEnvironment",
-    "TaskSpec",
-    "evaluate_prior",
-    "meta_gradient",
+    "sample_synthetic_task",
     "meta_objective",
     "run_meta_sgd",
-    "sample_synthetic_task",
-    "tasks_from_json",
+    "evaluate_prior",
     "tasks_to_json",
-    "ConfigError",
-    "aggregate",
+    "tasks_from_json",
     "run_experiment",
+    "aggregate",
 ]

@@ -58,10 +58,7 @@ def main(argv=None):
                 raise ConfigError("quantiles: expected comma separated numbers", field="quantiles")
             grid, table = aggregate(args.input, levels, output=args.output)
             print(f"wrote {table.shape[0]} rows x {table.shape[1]} quantiles to {args.output}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure

@@ -36,23 +36,15 @@ import numpy as np
 
 from . import __version__
 from .baselines import GDConfig, run_gd
-from .families import GaussianFamily, params_to_json, standard_normal_params
+from .families import ConfigError, GaussianFamily, params_to_json, standard_normal_params
 from .meta import MetaConfig, TaskEnvironment, run_meta_sgd, sample_synthetic_task
-from .risk import QuadraticRisk, TanhSyntheticRisk
+from .risk import risk_from_dict
 from .seeding import ROLE_TASK, child_int, child_seed
 from .solver import CatoniConfig, SolverTrace, run_supac_ce
 
 logger = logging.getLogger("pacbayes")
 
 _METHODS = ("supac_ce", "gd", "nesterov", "meta")
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration; carries the offending field name."""
-
-    def __init__(self, message, field=None):
-        super().__init__(message)
-        self.field = field
 
 
 def _require(data, key, where):
@@ -122,30 +114,19 @@ def _parse_params(spec, family, where):
 def _build_risk(data, family, run_seed):
     if not isinstance(data, dict):
         raise ConfigError("'risk' must be an object", field="risk")
-    kind = _require(data, "kind", "risk.")
-    if kind == "quadratic_in_f":
-        _reject_unknown(data, ("kind", "eta", "offset"), "risk.")
-        try:
-            return QuadraticRisk(
-                family=family,
-                eta=np.asarray(_require(data, "eta", "risk."), dtype=float),
-                offset=float(data.get("offset", 0.0)),
+    try:
+        if "sampled" not in data:
+            return risk_from_dict(data, family)
+        if data != {"kind": "tanh_synthetic", "sampled": True}:
+            raise ConfigError(
+                'sampled: a sampled risk is exactly {"kind": "tanh_synthetic", "sampled": true}',
+                field="sampled",
             )
-        except ValueError as exc:
-            raise ConfigError(f"risk: {exc}", field="risk") from None
-    if kind == "tanh_synthetic":
-        _reject_unknown(data, ("kind", "omega", "a_matrix", "x0", "sampled"), "risk.")
-        try:
-            if data.get("sampled"):
-                return sample_synthetic_task(run_seed, family.predictor_dim).risk
-            return TanhSyntheticRisk(
-                omega=float(_require(data, "omega", "risk.")),
-                a_matrix=np.asarray(_require(data, "a_matrix", "risk."), dtype=float),
-                x0=np.asarray(_require(data, "x0", "risk."), dtype=float),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"risk: {exc}", field="risk") from None
-    raise ConfigError(f"risk.kind: unknown risk kind {kind!r}", field="risk.kind")
+        return sample_synthetic_task(run_seed, family.predictor_dim).risk
+    except ConfigError as exc:
+        raise ConfigError(f"risk.{exc}", field=f"risk.{exc.field}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"risk: {exc}", field="risk") from None
 
 
 _TOP_KEYS = (
@@ -178,11 +159,12 @@ def _validate_top(config):
             f"exactly one method block matching '{method}' must be present, found {present}",
             field="method",
         )
+    # Counts are exactly int: JSON true decodes to a bool, an int subclass.
     repeats = config.get("repeats", 1)
-    if not isinstance(repeats, int) or repeats < 1:
+    if type(repeats) is not int or repeats < 1:
         raise ConfigError("repeats: must be a positive integer", field="repeats")
     master_seed = config.get("master_seed", 0)
-    if not isinstance(master_seed, int) or master_seed < 0:
+    if type(master_seed) is not int or master_seed < 0:
         raise ConfigError("master_seed: must be a nonnegative integer", field="master_seed")
     if method == "meta" and "risk" in config:
         raise ConfigError("meta experiments take 'tasks', not 'risk'", field="risk")
@@ -224,7 +206,7 @@ def _run_single(method, config, family, theta_p, theta0, run_seed):
     tasks_block = dict(_require(config, "tasks", ""))
     _reject_unknown(tasks_block, ("n_tasks", "lambda"), "tasks.")
     n_tasks = tasks_block.get("n_tasks", 10)
-    if not isinstance(n_tasks, int) or n_tasks < 1:
+    if type(n_tasks) is not int or n_tasks < 1:
         raise ConfigError("tasks.n_tasks must be a positive integer", field="tasks.n_tasks")
     task_lam = tasks_block.get("lambda", 0.1)
     if not isinstance(task_lam, (int, float)) or not task_lam > 0:
@@ -334,7 +316,7 @@ def aggregate(input_dir, quantiles=(0.2, 0.5, 0.8), output=None):
     """
     quantiles = [float(q) for q in quantiles]
     if not quantiles or any(not 0 <= q <= 1 for q in quantiles):
-        raise ValueError("quantiles must lie in [0, 1]")
+        raise ConfigError("quantiles must lie in [0, 1]", field="quantiles")
     paths = sorted(Path(input_dir).glob("trace_*.csv"))
     if not paths:
         raise ValueError(f"no trace_*.csv files found under {input_dir}")

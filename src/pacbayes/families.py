@@ -35,6 +35,14 @@ class DomainError(ValueError):
     """Natural parameter lies outside the family's open domain."""
 
 
+class ConfigError(ValueError):
+    """Invalid configuration or serialized input; carries the offending field name."""
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
+
+
 class Moments(NamedTuple):
     """Mean/covariance description of a member distribution."""
 

@@ -20,7 +20,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .families import DomainError
-from .risk import EvalStack, QuadraticRisk, TanhSyntheticRisk, eval_risk
+from .risk import (
+    EvalStack, QuadraticRisk, TanhSyntheticRisk, eval_risk, risk_from_dict, risk_to_dict
+)
 from .seeding import ROLE_EVAL, ROLE_SHUFFLE, ROLE_TASK, child_int, child_seed, make_rng
 from .solver import (
     CatoniConfig,
@@ -73,7 +75,6 @@ class TaskSpec:
     lam: float
     stack: EvalStack
     posterior: np.ndarray = None
-    objective: float = None
 
 
 def sample_synthetic_task(seed, predictor_dim, env=None, lam=0.1):
@@ -99,44 +100,6 @@ def sample_synthetic_task(seed, predictor_dim, env=None, lam=0.1):
     a_matrix = np.eye(k) + 0.05 * rng.standard_normal((k, k))
     risk = TanhSyntheticRisk(omega=omega, a_matrix=a_matrix, x0=x0)
     return TaskSpec(risk=risk, lam=float(lam), stack=EvalStack(k))
-
-
-def risk_to_dict(risk):
-    """JSON-ready parameters of a serializable risk."""
-    if isinstance(risk, TanhSyntheticRisk):
-        return {
-            "kind": "tanh_synthetic",
-            "omega": float(risk.omega),
-            "a_matrix": risk.a_matrix.tolist(),
-            "x0": risk.x0.tolist(),
-        }
-    if isinstance(risk, QuadraticRisk):
-        return {
-            "kind": "quadratic_in_f",
-            "eta": risk.eta.tolist(),
-            "offset": float(risk.offset),
-        }
-    raise ValueError(f"cannot serialize risk of type {type(risk).__name__}")
-
-
-def risk_from_dict(data, family=None):
-    """Inverse of :func:`risk_to_dict`; quadratic risks need the family."""
-    kind = data.get("kind")
-    if kind == "tanh_synthetic":
-        return TanhSyntheticRisk(
-            omega=data["omega"],
-            a_matrix=np.asarray(data["a_matrix"], dtype=float),
-            x0=np.asarray(data["x0"], dtype=float),
-        )
-    if kind == "quadratic_in_f":
-        if family is None:
-            raise ValueError("quadratic risks need the family to deserialize")
-        return QuadraticRisk(
-            family=family,
-            eta=np.asarray(data["eta"], dtype=float),
-            offset=float(data.get("offset", 0.0)),
-        )
-    raise ValueError(f"unknown risk kind {kind!r}")
 
 
 def tasks_to_json(tasks):
@@ -173,7 +136,7 @@ def _solve_and_score(family, task, idx, theta_p, inner_config, n_eval, seed, bra
     The solve runs with the task's own temperature, and its streams follow
     the path (seed, branch, idx).  A warm solve restarts from the task's
     stored posterior (the prior on a first visit) on the task's ledger, and
-    stores the new posterior and objective on the task; a cold solve starts
+    stores the new posterior on the task; a cold solve starts
     from the prior on a fresh ledger and leaves the task untouched.  The
     objective is exact when the risk has closed forms.  Any failure is
     re-raised as one ValueError that names the task, chained to its cause.
@@ -200,7 +163,7 @@ def _solve_and_score(family, task, idx, theta_p, inner_config, n_eval, seed, bra
         raise ValueError(f"inner solve failed for task {idx}: {exc}") from exc
     objective = catoni_objective(mean_risk, family.kl(theta, theta_p), task.lam)
     if warm:
-        task.posterior, task.objective = theta, objective
+        task.posterior = theta
     return objective
 
 
@@ -288,7 +251,7 @@ def run_meta_sgd(family, tasks, theta_p0, config, seed):
     moves against the batch-mean meta gradient, scaled by
     ``meta_step_size / mean(lam)`` and clipped to the KL trust region.
 
-    Task ledgers, posteriors and objective estimates are updated in place.
+    Task ledgers and posteriors are updated in place.
     The recorded ``meta_obj`` is the batch estimate of the full task-sum
     objective.
 

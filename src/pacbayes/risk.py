@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import GaussianFamily
+from .families import ConfigError, GaussianFamily
 
 
 def eval_risk(risk, x):
@@ -121,6 +121,65 @@ class CustomRisk:
 
     def __call__(self, x):
         return self.fn(np.atleast_2d(np.asarray(x, dtype=float)))
+
+
+# Fields of each serializable risk kind: (required, optional).
+_RISK_FIELDS = {
+    "tanh_synthetic": (("omega", "a_matrix", "x0"), ()),
+    "quadratic_in_f": (("eta",), ("offset",)),
+}
+
+
+def risk_to_dict(risk):
+    """JSON-ready parameters of a serializable risk."""
+    if isinstance(risk, TanhSyntheticRisk):
+        return {
+            "kind": "tanh_synthetic",
+            "omega": float(risk.omega),
+            "a_matrix": risk.a_matrix.tolist(),
+            "x0": risk.x0.tolist(),
+        }
+    if isinstance(risk, QuadraticRisk):
+        return {
+            "kind": "quadratic_in_f",
+            "eta": risk.eta.tolist(),
+            "offset": float(risk.offset),
+        }
+    raise ValueError(f"cannot serialize risk of type {type(risk).__name__}")
+
+
+def risk_from_dict(data, family=None):
+    """Inverse of :func:`risk_to_dict`; quadratic risks need the family.
+
+    Every required field of the kind must be present and no other field may
+    be.  A malformed object raises :class:`ConfigError` whose ``field`` is
+    the offending key and whose message starts with it.
+    """
+    if "kind" not in data:
+        raise ConfigError("kind: missing required field", field="kind")
+    kind = data["kind"]
+    if kind not in _RISK_FIELDS:
+        raise ConfigError(f"kind: unknown risk kind {kind!r}", field="kind")
+    required, optional = _RISK_FIELDS[kind]
+    for name in required:
+        if name not in data:
+            raise ConfigError(f"{name}: missing required field", field=name)
+    unknown = sorted(set(data) - {"kind", *required, *optional})
+    if unknown:
+        raise ConfigError(f"{unknown[0]}: unknown field for risk kind {kind!r}", field=unknown[0])
+    if kind == "tanh_synthetic":
+        return TanhSyntheticRisk(
+            omega=float(data["omega"]),
+            a_matrix=np.asarray(data["a_matrix"], dtype=float),
+            x0=np.asarray(data["x0"], dtype=float),
+        )
+    if family is None:
+        raise ValueError("quadratic risks need the family to deserialize")
+    return QuadraticRisk(
+        family=family,
+        eta=np.asarray(data["eta"], dtype=float),
+        offset=float(data.get("offset", 0.0)),
+    )
 
 
 class EvalStack:

@@ -34,12 +34,20 @@ from .weighting import (
 )
 
 _WEIGHTINGS = ("voronoi", "exact1d", "uniform", "importance")
+# Bracket width at which damped_update's bisection stops, and its halving cap.
+_BISECTION_TOL = 1e-9
+_BISECTION_MAX_ITER = 200
+
+
+def _is_integer(value):
+    """An integer that is not a bool (Python counts ``True`` as 1)."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _require_integers(config, *names):
-    """Reject config fields that do not hold integers (2.0 included)."""
+    """Reject config fields that do not hold integers (2.0 and True included)."""
     for name in names:
-        if not isinstance(getattr(config, name), Integral):
+        if not _is_integer(getattr(config, name)):
             raise ValueError(f"{name} must be an integer")
 
 
@@ -114,7 +122,7 @@ class CatoniConfig:
             raise ValueError("alpha_max must lie in (0, 1]")
         if self.query_schedule is not None:
             sched = tuple(self.query_schedule)
-            if not sched or not all(isinstance(v, Integral) and v >= 0 for v in sched):
+            if not sched or not all(_is_integer(v) and v >= 0 for v in sched):
                 raise ValueError("query_schedule entries must be nonnegative integers")
             self.query_schedule = tuple(int(v) for v in sched)
         if self.n_initial_queries < 0 or self.n_queries_per_step < 0:
@@ -167,13 +175,14 @@ def surrogate_argmin(theta_p, eta, lam):
     return np.asarray(theta_p, dtype=float) - np.asarray(eta, dtype=float) / float(lam)
 
 
-def damped_update(family, theta, theta_cand, kl_max, alpha_max, *, tol=1e-9, max_iter=200):
+def damped_update(family, theta, theta_cand, kl_max, alpha_max):
     """Largest damped step toward ``theta_cand`` within the trust region.
 
     Finds the largest alpha <= alpha_max such that theta + alpha (theta_cand -
     theta) stays in the domain and within KL ``kl_max`` of ``theta``.  The KL
     along the ray is nondecreasing in alpha, so bisection applies; the lower
-    (feasible) endpoint is returned once the bracket is within ``tol``.
+    (feasible) endpoint is returned once the bracket is within
+    ``_BISECTION_TOL`` or after ``_BISECTION_MAX_ITER`` halvings.
     ``theta`` must lie in the domain: a :class:`DomainError` from the KL is
     read as a candidate outside it.
 
@@ -196,8 +205,8 @@ def damped_update(family, theta, theta_cand, kl_max, alpha_max, *, tol=1e-9, max
     if feasible(alpha_max):
         return theta + alpha_max * delta, float(alpha_max)
     lo, hi = 0.0, float(alpha_max)
-    for _ in range(max_iter):
-        if hi - lo <= tol:
+    for _ in range(_BISECTION_MAX_ITER):
+        if hi - lo <= _BISECTION_TOL:
             break
         mid = 0.5 * (lo + hi)
         if feasible(mid):

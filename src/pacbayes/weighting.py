@@ -10,7 +10,6 @@ yields the surrogate coefficients the solver minimizes in closed form.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,25 +45,6 @@ class SurrogateFit:
     offset: float
     weighted_rss: float
     gram_condition: float
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "eta": [float(v) for v in self.eta],
-                "c": float(self.offset),
-                "rss": float(self.weighted_rss),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        return cls(
-            eta=np.asarray(data["eta"], dtype=float),
-            offset=float(data["c"]),
-            weighted_rss=float(data["rss"]),
-            gram_condition=float("nan"),
-        )
 
 
 def _whitened_points(stack, family, theta):
@@ -176,16 +156,15 @@ def importance_weights(stack, family, theta, generation_params):
     return w / w.sum()
 
 
-def project(stack, weights, family, theta=None, offset=None):
+def project(stack, weights, family, theta):
     """Weighted least-squares projection of the stored risks onto span(1, T).
 
-    Solves min over (eta, c) of sum_i w_i (R_i - offset(x_i) - eta . T(x_i)
-    - c)^2 via the centered normal equations; ``offset`` is an optional fixed
-    proxy already accounting for part of the risk.  When ``theta`` is given,
-    columns are scaled by the square root of the Fisher diagonal at ``theta``
-    before solving, which preconditions the Gram matrix in the metric the
-    surrogate is used in.  A ridge of ``1e-10 * trace / dim`` is added only
-    when the scaled Gram condition number exceeds 1e12.
+    Solves min over (eta, c) of sum_i w_i (R_i - eta . T(x_i) - c)^2 via the
+    centered normal equations.  Columns are scaled by the square root of the
+    Fisher diagonal at ``theta`` before solving, which preconditions the Gram
+    matrix in the metric the surrogate is used in.  A ridge of
+    ``1e-10 * trace / dim`` is added only when the scaled Gram condition
+    number exceeds 1e12.
 
     Returns
     -------
@@ -202,16 +181,11 @@ def project(stack, weights, family, theta=None, offset=None):
     wn = w / total
     t = family.suff_stat(stack.points)
     y = stack.values
-    if offset is not None:
-        y = y - np.asarray(offset(stack.points), dtype=float).reshape(-1)
     t_bar = wn @ t
     y_bar = float(wn @ y)
     tc = t - t_bar
-    if theta is not None:
-        scale = np.sqrt(np.diag(family.fisher_info(theta)))
-        scale = np.where(scale > 0, scale, 1.0)
-    else:
-        scale = np.ones(family.dim)
+    scale = np.sqrt(np.diag(family.fisher_info(theta)))
+    scale = np.where(scale > 0, scale, 1.0)
     z = tc / scale
     gram = z.T @ (wn[:, None] * z)
     rhs = z.T @ (wn * (y - y_bar))

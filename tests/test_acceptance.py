@@ -22,8 +22,6 @@ from pacbayes import (
     TaskEnvironment,
     evaluate_objective,
     evaluate_prior,
-    exact_voronoi_weights_1d,
-    meta_gradient,
     meta_objective,
     run_experiment,
     run_gd,
@@ -31,11 +29,13 @@ from pacbayes import (
     run_supac_ce,
     sample_synthetic_task,
     standard_normal_params,
-    surrogate_argmin,
     tasks_from_json,
     tasks_to_json,
     voronoi_weights,
 )
+from pacbayes.meta import meta_gradient
+from pacbayes.solver import surrogate_argmin
+from pacbayes.weighting import exact_voronoi_weights_1d
 
 from _oracles import (
     family_moments,

@@ -9,10 +9,10 @@ from pacbayes import (
     GaussianFamily,
     GDConfig,
     QuadraticRisk,
-    catoni_gradient_estimate,
     run_gd,
     standard_normal_params,
 )
+from pacbayes.baselines import catoni_gradient_estimate
 
 from _oracles import batch_mean_se
 

@@ -6,9 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from pacbayes import ConfigError, SolverTrace, aggregate, run_experiment
+from pacbayes import ConfigError, aggregate, run_experiment, tasks_from_json
 from pacbayes.cli import main
-from pacbayes.solver import TraceRecord
+from pacbayes.solver import SolverTrace, TraceRecord
 
 from _oracles import sort_quantile
 
@@ -92,6 +92,28 @@ def test_validation_field_errors(tmp_path):
     cfg["typo_key"] = 1
     with pytest.raises(ConfigError, match="typo_key"):
         run_experiment(cfg)
+
+
+def test_risk_errors_name_their_field(tmp_path):
+    tanh = {"kind": "tanh_synthetic", "omega": 1.0, "a_matrix": [[1.0]], "x0": [0.0]}
+    cases = [
+        ({"kind": "tanh_synthetic", "omega": 1.0}, "risk.a_matrix"),
+        (dict(tanh, scale=2.0), "risk.scale"),
+        ({"kind": "quadratic_in_f", "eta": [0.3, 0.1], "scale": 2.0}, "risk.scale"),
+        ({"kind": "mystery"}, "risk.kind"),
+    ]
+    for risk, field in cases:
+        with pytest.raises(ConfigError) as info:
+            run_experiment(dict(supac_config(tmp_path), risk=risk))
+        assert info.value.field == field
+        # the field leads the message, and its prefix is written once
+        assert str(info.value).startswith(field + ": ")
+        assert str(info.value).count("risk.") == 1, str(info.value)
+    # the task codec is the same parser, without the config prefix
+    for risk, field in [({"kind": "mystery"}, "kind"), ({"kind": "tanh_synthetic"}, "omega")]:
+        with pytest.raises(ConfigError) as info:
+            tasks_from_json(json.dumps([{"lambda": 0.1, "risk": risk}]))
+        assert info.value.field == field
 
 
 def test_supac_run_writes_artifacts_and_converges_fast(tmp_path):
@@ -309,6 +331,9 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert main(["aggregate", "--input", str(empty), "--output", str(tmp_path / "x.csv")]) == 1
+    for levels in ("1.5", "-0.1", ""):
+        argv = ["aggregate", "--input", str(empty), "--quantiles", levels]
+        assert main(argv + ["--output", str(tmp_path / "x.csv")]) == 2, levels
 
     # invalid values that used to surface as runtime failures
     bad_prior = dict(supac_config(tmp_path / "out"), prior="foo")
@@ -323,8 +348,13 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     meta_float_epochs = meta_config(tmp_path / "out")
     meta_float_epochs["meta"]["epochs"] = 2.0
     meta_bad_lambda = dict(meta_config(tmp_path / "out"), tasks={"n_tasks": 2, "lambda": -0.1})
+    # JSON true is not a count
+    bool_repeats = dict(supac_config(tmp_path / "out"), repeats=True)
+    bool_seed = dict(supac_config(tmp_path / "out"), master_seed=True)
+    meta_bool_tasks = dict(meta_config(tmp_path / "out"), tasks={"n_tasks": True})
     for i, cfg in enumerate(
         [bad_prior, float_steps, fractional_mc, sampled_2d, meta_2d, meta_float_epochs, meta_bad_lambda]
+        + [bool_repeats, bool_seed, meta_bool_tasks]
     ):
         path = tmp_path / f"invalid_{i}.json"
         path.write_text(json.dumps(cfg))

@@ -9,13 +9,9 @@ from pacbayes import (
     EvalStack,
     GaussianFamily,
     MetaConfig,
-    MetaTrace,
     QuadraticRisk,
     TaskEnvironment,
-    TaskSpec,
     evaluate_prior,
-    eval_risk,
-    meta_gradient,
     meta_objective,
     run_meta_sgd,
     sample_synthetic_task,
@@ -23,7 +19,8 @@ from pacbayes import (
     tasks_from_json,
     tasks_to_json,
 )
-from pacbayes.meta import MetaRecord
+from pacbayes.meta import MetaRecord, MetaTrace, TaskSpec, meta_gradient
+from pacbayes.risk import eval_risk
 
 from _oracles import fd_grad
 

@@ -9,9 +9,9 @@ from pacbayes import (
     GaussianFamily,
     QuadraticRisk,
     TanhSyntheticRisk,
-    eval_risk,
     standard_normal_params,
 )
+from pacbayes.risk import eval_risk
 
 from _oracles import gauss_expect, random_spd
 

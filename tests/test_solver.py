@@ -9,8 +9,13 @@ from pacbayes import (
     CatoniConfig,
     EvalStack,
     GaussianFamily,
-    MetaTrace,
     QuadraticRisk,
+    evaluate_objective,
+    run_supac_ce,
+    standard_normal_params,
+)
+from pacbayes.meta import MetaRecord, MetaTrace
+from pacbayes.solver import (
     SolverTrace,
     TraceRecord,
     bound_offset,
@@ -18,12 +23,8 @@ from pacbayes import (
     catoni_objective,
     damped_update,
     estimate_mean_risk,
-    evaluate_objective,
-    run_supac_ce,
-    standard_normal_params,
     surrogate_argmin,
 )
-from pacbayes.meta import MetaRecord
 
 from _oracles import family_moments, fd_grad, gauss_expect, quad_projection
 
@@ -57,6 +58,8 @@ def test_config_validation():
     # integer fields reject floats, including integral ones from JSON
     with pytest.raises(ValueError, match="max_steps"):
         CatoniConfig(lam=1.0, max_steps=2.0)
+    with pytest.raises(ValueError, match="max_steps"):
+        CatoniConfig(lam=1.0, max_steps=True)
     with pytest.raises(ValueError, match="n_mc_weights"):
         CatoniConfig(lam=1.0, n_mc_weights=100.5)
     with pytest.raises(ValueError, match="query_schedule"):

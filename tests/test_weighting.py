@@ -8,16 +8,13 @@ from pacbayes import (
     EvalStack,
     GaussianFamily,
     QuadraticRisk,
-    SurrogateFit,
-    eval_risk,
-    exact_voronoi_weights_1d,
     importance_weights,
     project,
     standard_normal_params,
-    uniform_weights,
     voronoi_weights,
 )
-from pacbayes.weighting import GRAM_CONDITION_LIMIT
+from pacbayes.risk import eval_risk
+from pacbayes.weighting import GRAM_CONDITION_LIMIT, exact_voronoi_weights_1d, uniform_weights
 
 from _oracles import gauss_nodes, quad_projection, random_spd
 
@@ -226,25 +223,6 @@ def test_project_cubic_under_standard_normal_weights():
     assert fit.offset == pytest.approx(0.0, abs=1e-8)
 
 
-def test_project_with_fixed_proxy_offset():
-    # offset callable equal to the risk leaves nothing to fit
-    fam = GaussianFamily(1)
-    rng = np.random.default_rng(17)
-    pts = rng.standard_normal((10, 1))
-    vals = np.tanh(pts[:, 0])
-    stack = stack_from_points(pts, vals)
-    fit = project(
-        stack,
-        np.full(10, 0.1),
-        fam,
-        theta=standard_normal_params(fam),
-        offset=lambda x: np.tanh(np.atleast_2d(x)[:, 0]),
-    )
-    np.testing.assert_allclose(fit.eta, np.zeros(2), atol=1e-12)
-    assert fit.offset == pytest.approx(0.0, abs=1e-12)
-    assert fit.weighted_rss == pytest.approx(0.0, abs=1e-14)
-
-
 def test_project_matches_population_projection():
     fam = GaussianFamily(1)
     theta = fam.natural_from_moments([0.4], [[0.8]])
@@ -313,24 +291,14 @@ def test_project_reports_condition_and_applies_ridge_when_degenerate():
 
 def test_project_weight_validation():
     fam = GaussianFamily(1)
+    theta = standard_normal_params(fam)
     stack = stack_from_points([[0.0], [1.0], [2.0]], [0.0, 1.0, 2.0])
     with pytest.raises(ValueError):
-        project(stack, np.ones(2), fam)
+        project(stack, np.ones(2), fam, theta)
     with pytest.raises(ValueError):
-        project(stack, np.array([1.0, -1.0, 1.0]), fam)
+        project(stack, np.array([1.0, -1.0, 1.0]), fam, theta)
     with pytest.raises(ValueError):
-        project(stack, np.zeros(3), fam)
-
-
-def test_surrogate_fit_json_round_trip():
-    fit = SurrogateFit(
-        eta=np.array([1.5, -2.0]), offset=0.25, weighted_rss=1e-6, gram_condition=12.0
-    )
-    back = SurrogateFit.from_json(fit.to_json())
-    np.testing.assert_allclose(back.eta, fit.eta)
-    assert back.offset == fit.offset
-    assert back.weighted_rss == fit.weighted_rss
-    assert np.isnan(back.gram_condition)
+        project(stack, np.zeros(3), fam, theta)
 
 
 def test_gradient_invariance_of_projection():
