@@ -76,6 +76,9 @@ def _dataclass_from(cls, data, where, rename=()):
 
 
 def _catoni_from(data, where):
+    # JSON true would otherwise reach CatoniConfig as lam and be named there.
+    if isinstance(data, dict) and isinstance(data.get("lambda"), bool):
+        raise ConfigError(f"{where}lambda must be a number", field=where + "lambda")
     return _dataclass_from(CatoniConfig, data, where, rename=(("lambda", "lam"),))
 
 
@@ -209,7 +212,7 @@ def _run_single(method, config, family, theta_p, theta0, run_seed):
     if type(n_tasks) is not int or n_tasks < 1:
         raise ConfigError("tasks.n_tasks must be a positive integer", field="tasks.n_tasks")
     task_lam = tasks_block.get("lambda", 0.1)
-    if not isinstance(task_lam, (int, float)) or not task_lam > 0:
+    if isinstance(task_lam, bool) or not isinstance(task_lam, (int, float)) or not task_lam > 0:
         raise ConfigError("tasks.lambda must be a positive number", field="tasks.lambda")
     block = dict(_require(config, "meta", ""))
     if "inner_first" not in block:

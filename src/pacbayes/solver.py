@@ -17,15 +17,16 @@ import csv
 import json
 import math
 from dataclasses import dataclass, fields
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
 from .families import DomainError, params_from_json
 from .risk import EvalStack, eval_risk
-from .seeding import ROLE_DRAW, ROLE_EVAL, ROLE_REPORT, ROLE_WEIGHTS, child_seed
+from .seeding import ROLE_DRAW, ROLE_EVAL, ROLE_WEIGHTS, child_seed
 from .weighting import (
     GRAM_CONDITION_LIMIT,
+    _NearestPoints,
     exact_voronoi_weights_1d,
     importance_weights,
     project,
@@ -49,6 +50,14 @@ def _require_integers(config, *names):
     for name in names:
         if not _is_integer(getattr(config, name)):
             raise ValueError(f"{name} must be an integer")
+
+
+def _require_reals(config, *names):
+    """Reject config fields that do not hold real numbers (True included)."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise ValueError(f"{name} must be a real number")
 
 
 @dataclass
@@ -108,6 +117,9 @@ class CatoniConfig:
         _require_integers(
             self, "n_data", "n_initial_queries", "n_queries_per_step", "n_mc_weights", "max_steps"
         )
+        _require_reals(self, "lam", "delta", "c_range", "kl_max", "alpha_max", "convergence_kl_tol")
+        if not isinstance(self.record_trace, bool):
+            raise ValueError("record_trace must be a bool")
         if not self.lam > 0:
             raise ValueError("lam must be positive")
         if not 0 < self.delta < 1:
@@ -361,6 +373,8 @@ def run_supac_ce(risk, family, theta_p, theta0, config, seed, stack=None):
         raise ValueError("stack predictor dimension does not match the family")
     step_offset = stack.next_step()
     trace = SolverTrace()
+    # The reporting pass's Voronoi search, carried into the next step.
+    nearest = None
 
     for step in range(config.max_steps):
         n_draw = config.queries_at(step)
@@ -372,14 +386,18 @@ def run_supac_ce(risk, family, theta_p, theta0, config, seed, stack=None):
             raise ValueError(
                 "no evaluations available; set n_initial_queries > 0 or pass a warm stack"
             )
-        weights = _weights_for(
-            config,
-            stack,
-            family,
-            theta,
-            child_seed(seed, step, ROLE_WEIGHTS),
-            step_offset + step,
-        )
+        if nearest is not None:
+            # Free the carried search before the report builds the next one.
+            weights, nearest = nearest.weights(stack), None
+        else:
+            weights = _weights_for(
+                config,
+                stack,
+                family,
+                theta,
+                child_seed(seed, step, ROLE_WEIGHTS),
+                step_offset + step,
+            )
         fit = project(stack, weights, family, theta)
         if step == 0 and not (
             np.isfinite(fit.gram_condition) and fit.gram_condition <= GRAM_CONDITION_LIMIT
@@ -395,14 +413,16 @@ def run_supac_ce(risk, family, theta_p, theta0, config, seed, stack=None):
         )
         step_kl = family.kl(theta_next, theta)
         if config.record_trace:
-            report_weights = _weights_for(
-                config,
-                stack,
-                family,
-                theta_next,
-                child_seed(seed, step, ROLE_REPORT),
-                step_offset + step,
-            )
+            # The report at theta_next draws from the next step's weight
+            # stream, so a Voronoi step after it scores only its new batch.
+            report_seed = child_seed(seed, step + 1, ROLE_WEIGHTS)
+            if config.weighting == "voronoi":
+                nearest = _NearestPoints(family, theta_next, config.n_mc_weights, report_seed)
+                report_weights = nearest.weights(stack)
+            else:
+                report_weights = _weights_for(
+                    config, stack, family, theta_next, report_seed, step_offset + step
+                )
             mean_risk = estimate_mean_risk(stack, report_weights)
             kl_prior = family.kl(theta_next, theta_p)
             trace.append(

@@ -19,7 +19,7 @@ from scipy.special import ndtr
 # Gram condition number beyond which a ridge is added before solving.
 GRAM_CONDITION_LIMIT = 1e12
 _RIDGE_SCALE = 1e-10
-# Floats per (draws x stored points) score block in the 1-NN search: about
+# Floats per (draws x scored points) score block in the 1-NN search: about
 # 1 MB, so each block stays in cache while it is built and reduced.
 _CHUNK_BUDGET = 131_072
 
@@ -47,12 +47,67 @@ class SurrogateFit:
     gram_condition: float
 
 
-def _whitened_points(stack, family, theta):
-    if len(stack) == 0:
-        raise ValueError("evaluation stack is empty")
-    mean, cov = family.moments_from_natural(theta)
-    chol = np.linalg.cholesky(cov)
-    return solve_triangular(chol, (stack.points - mean).T, lower=True).T
+class _NearestPoints:
+    """Nearest ledger row of each of ``n_mc`` draws from pi_theta.
+
+    Rows are compared in the Mahalanobis metric of pi_theta, in which the
+    draws are standard normals.  Each draw keeps its best row index and
+    score, so ``weights`` on a ledger that has grown since the last call
+    scores only the appended rows.  A draw moves to a later row only when
+    its score is strictly lower, so ties keep the lowest index.  An exact
+    copy of an earlier row never takes a draw: BLAS may round one score
+    differently in products of different shapes, and the copy would win
+    wherever its rounding came out lower.
+    """
+
+    def __init__(self, family, theta, n_mc, seed):
+        n_mc = int(n_mc)
+        if n_mc < 1:
+            raise ValueError("n_mc must be at least 1")
+        self._mean, cov = family.moments_from_natural(theta)
+        self._chol = np.linalg.cholesky(cov)
+        # Whitened samples from pi_theta are exactly standard normal draws.
+        rng = np.random.Generator(np.random.Philox(seed))
+        self._draws = rng.standard_normal((n_mc, family.predictor_dim))
+        self._best = np.zeros(n_mc, dtype=np.int64)
+        self._score = np.full(n_mc, np.inf)
+        self._n_rows = 0
+        self._first = {}  # row bytes -> index of the row's first occurrence
+
+    def weights(self, stack):
+        """Normalized cell counts over ``stack``, which may only have grown."""
+        if len(stack) == 0:
+            raise ValueError("evaluation stack is empty")
+        if len(stack) > self._n_rows:
+            self._add_rows(stack.points[self._n_rows :])
+        return np.bincount(self._best, minlength=len(stack)) / float(len(self._draws))
+
+    def _add_rows(self, points):
+        start, n_new = self._n_rows, len(points)
+        # Adding 0.0 maps -0.0 to 0.0, so both spellings of a point share a key.
+        keys = (points + 0.0).view(f"V{points.itemsize * points.shape[1]}").ravel().tolist()
+        is_copy = np.array([self._first.setdefault(k, i) != i for i, k in enumerate(keys, start)])
+        xw = solve_triangular(self._chol, (points - self._mean).T, lower=True).T
+        # ||x - z||^2 = ||x||^2 - 2 x.z + ||z||^2; the last term is constant
+        # per draw and cannot change the argmin over stored points.
+        xn2 = np.sum(xw * xw, axis=1)
+        xn2[is_copy] = np.inf
+        neg2_xw_t = (-2.0 * xw).T
+        n_mc = len(self._draws)
+        arg = np.empty(n_mc, dtype=np.int64)
+        score = np.empty(n_mc)
+        chunk = max(1, _CHUNK_BUDGET // n_new)
+        rows = np.arange(min(chunk, n_mc))
+        for lo in range(0, n_mc, chunk):
+            hi = min(lo + chunk, n_mc)
+            scores = self._draws[lo:hi] @ neg2_xw_t
+            scores += xn2
+            arg[lo:hi] = np.argmin(scores, axis=1)
+            score[lo:hi] = scores[rows[: hi - lo], arg[lo:hi]]
+        better = score < self._score
+        self._best[better] = arg[better] + start
+        self._score[better] = score[better]
+        self._n_rows += n_new
 
 
 def voronoi_weights(stack, family, theta, n_mc=40_000, seed=0):
@@ -60,7 +115,8 @@ def voronoi_weights(stack, family, theta, n_mc=40_000, seed=0):
 
     Draws ``n_mc`` samples from pi_theta, assigns each to its nearest stored
     point in the Mahalanobis metric of pi_theta, and returns the normalized
-    assignment counts.  Ties break toward the lowest index, so the result is
+    assignment counts.  Ties break toward the lowest index, and an exact
+    duplicate of an earlier point gets no mass, so the result is
     deterministic given the seed.
 
     Returns
@@ -68,28 +124,7 @@ def voronoi_weights(stack, family, theta, n_mc=40_000, seed=0):
     numpy.ndarray
         Nonnegative weights aligned with the stack entries, summing to 1.
     """
-    n_mc = int(n_mc)
-    if n_mc < 1:
-        raise ValueError("n_mc must be at least 1")
-    xw = _whitened_points(stack, family, theta)
-    n_pts = xw.shape[0]
-    # Whitened samples from pi_theta are exactly standard normal draws.
-    rng = np.random.Generator(np.random.Philox(seed))
-    xn2 = np.sum(xw * xw, axis=1)
-    counts = np.zeros(n_pts, dtype=np.int64)
-    chunk = max(1, _CHUNK_BUDGET // n_pts)
-    done = 0
-    while done < n_mc:
-        m = min(chunk, n_mc - done)
-        z = rng.standard_normal((m, family.predictor_dim))
-        # ||x - z||^2 = ||x||^2 - 2 x.z + ||z||^2; the last term is constant
-        # per row and cannot change the argmin over stored points.
-        scores = z @ xw.T
-        scores *= -2.0
-        scores += xn2
-        counts += np.bincount(np.argmin(scores, axis=1), minlength=n_pts)
-        done += m
-    return counts / float(n_mc)
+    return _NearestPoints(family, theta, n_mc, seed).weights(stack)
 
 
 def exact_voronoi_weights_1d(stack, family, theta):

@@ -359,6 +359,16 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         path = tmp_path / f"invalid_{i}.json"
         path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(path)]) == 2, cfg
+    # JSON true is not a lambda either; the error names the field
+    bool_lambda = supac_config(tmp_path / "out")
+    bool_lambda["supac_ce"]["lambda"] = True
+    meta_bool_lambda = dict(meta_config(tmp_path / "out"), tasks={"n_tasks": 2, "lambda": True})
+    for field, cfg in (("supac_ce.lambda", bool_lambda), ("tasks.lambda", meta_bool_lambda)):
+        path = tmp_path / "bool_lambda.json"
+        path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert main(["run", "--config", str(path)]) == 2, cfg
+        assert f"error: {field} " in capsys.readouterr().err
     assert not (tmp_path / "out" / "manifest.json").exists()
 
     # a failing meta inner solve is a runtime failure whose message names the task

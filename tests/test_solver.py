@@ -1,5 +1,6 @@
 """Catoni objective pieces and the damped surrogate-projection solver."""
 
+import copy
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from pacbayes import (
     EvalStack,
     GaussianFamily,
     QuadraticRisk,
+    TanhSyntheticRisk,
     evaluate_objective,
     run_supac_ce,
     standard_normal_params,
@@ -64,6 +66,12 @@ def test_config_validation():
         CatoniConfig(lam=1.0, n_mc_weights=100.5)
     with pytest.raises(ValueError, match="query_schedule"):
         CatoniConfig(lam=1.0, query_schedule=[10, 2.5])
+    # float fields reject booleans, and the trace flag takes nothing but one
+    for name in ("lam", "delta", "c_range", "kl_max", "alpha_max", "convergence_kl_tol"):
+        with pytest.raises(ValueError, match=name):
+            CatoniConfig(**{"lam": 1.0, name: True})
+    with pytest.raises(ValueError, match="record_trace"):
+        CatoniConfig(lam=1.0, record_trace=0)
 
 
 def test_uniform_weighting_rejects_zero_draw_steps():
@@ -311,17 +319,41 @@ def test_solver_requires_identifiable_first_projection():
 
 
 def test_solver_trace_recording_does_not_affect_iterates():
-    fam = GaussianFamily(1)
+    # A traced Voronoi step takes over the reporting pass's search and scores
+    # only its new batch; the iterate and the ledger must not move, for a
+    # cold solve, a warm re-solve, and a schedule with zero-draw steps.
+    fam = GaussianFamily(4, structure="full")
     theta_p = standard_normal_params(fam)
-    risk = QuadraticRisk(fam, eta=np.array([0.4, -0.2]))
-    cfg = small_config(alpha_max=0.6, kl_max=0.8, max_steps=5, convergence_kl_tol=0.0)
-    with_trace, trace, _ = run_supac_ce(risk, fam, theta_p, theta_p, cfg, seed=9)
-    cfg_quiet = small_config(
-        alpha_max=0.6, kl_max=0.8, max_steps=5, convergence_kl_tol=0.0, record_trace=False
+    rng = np.random.default_rng(8)
+    risk = TanhSyntheticRisk(
+        omega=2.0, a_matrix=np.eye(4) + 0.2 * rng.standard_normal((4, 4)), x0=rng.standard_normal(4)
     )
-    without_trace, quiet, _ = run_supac_ce(risk, fam, theta_p, theta_p, cfg_quiet, seed=9)
-    np.testing.assert_array_equal(with_trace, without_trace)
-    assert len(trace) == 5 and len(quiet) == 0
+
+    def both(theta0, stack, seed, **kwargs):
+        settings = dict(lam=0.05, kl_max=0.5, alpha_max=0.5, n_mc_weights=3000, max_steps=6)
+        settings.update(convergence_kl_tol=0.0, **kwargs)
+        runs = [
+            run_supac_ce(
+                risk,
+                fam,
+                theta_p,
+                theta0,
+                small_config(record_trace=flag, **settings),
+                seed=seed,
+                stack=copy.deepcopy(stack),
+            )
+            for flag in (True, False)
+        ]
+        (theta, trace, ledger), (quiet_theta, quiet_trace, quiet_ledger) = runs
+        np.testing.assert_array_equal(theta, quiet_theta)
+        for name in ("points", "values", "steps"):
+            np.testing.assert_array_equal(getattr(ledger, name), getattr(quiet_ledger, name))
+        assert len(trace) == settings["max_steps"] and len(quiet_trace) == 0
+        return theta, ledger
+
+    theta, stack = both(theta_p, None, 31, n_initial_queries=60, n_queries_per_step=12)
+    both(theta, stack, 32, n_initial_queries=20, n_queries_per_step=12)
+    both(theta, stack, 33, query_schedule=(20, 0, 20, 0), max_steps=4)
 
 
 def test_solver_rejects_out_of_domain_inputs():

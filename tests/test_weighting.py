@@ -113,6 +113,41 @@ def test_voronoi_blocks_match_cdist_assignment(monkeypatch):
         np.testing.assert_array_equal(w, expected)
 
 
+def test_voronoi_search_extended_by_appended_rows_matches_a_fresh_search(monkeypatch):
+    # the solver's reporting pass hands its search to the next step, which
+    # scores only the rows appended to the ledger since
+    from pacbayes import weighting as wmod
+
+    fam = GaussianFamily(4, structure="full")
+    rng = np.random.default_rng(43)
+    theta = fam.natural_from_moments(0.3 * rng.standard_normal(4), random_spd(rng, 4))
+    # at 500 points BLAS can round one score differently in different columns
+    old = rng.standard_normal((500, 4))
+    n_mc, seed = 10_000, 23
+    appended = {
+        "copy of an old point": np.vstack([rng.standard_normal((5, 4)), old[17:18]]),
+        "no rows": np.empty((0, 4)),
+    }
+    # the default block size, then blocks of one draw
+    for budget in (wmod._CHUNK_BUDGET, 1):
+        monkeypatch.setattr(wmod, "_CHUNK_BUDGET", budget)
+        for case, new in appended.items():
+            stack = stack_from_points(old)
+            search = wmod._NearestPoints(fam, theta, n_mc, seed)
+            before = search.weights(stack)
+            if len(new):
+                stack.record(new, np.zeros(len(new)), step=1)
+            w = search.weights(stack)
+            fresh = voronoi_weights(stack, fam, theta, n_mc=n_mc, seed=seed)
+            np.testing.assert_array_equal(w, fresh, err_msg=f"{case}, budget {budget}")
+            if len(new):
+                # the copy takes nothing; the first occurrence keeps what
+                # the five new points left it
+                assert w[-1] == 0.0 and 0.0 < w[17] <= before[17]
+            else:
+                np.testing.assert_array_equal(w, before)
+
+
 def test_exact_voronoi_weights_1d_duplicates_keep_first_occurrence():
     # under N(0,1), {0, 1} split at 0.5; the second 0 gets nothing
     fam = GaussianFamily(1)
