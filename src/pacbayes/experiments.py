@@ -62,8 +62,15 @@ def _reject_unknown(data, allowed, where):
         )
 
 
+def _object(data, where):
+    """A copy of the config block ``where``, which must be a JSON object."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"'{where}' must be an object", field=where)
+    return dict(data)
+
+
 def _dataclass_from(cls, data, where, rename=()):
-    data = dict(data)
+    data = _object(data, where[:-1])
     for src, dst in rename:
         if src in data:
             data[dst] = data.pop(src)
@@ -150,8 +157,6 @@ _TOP_KEYS = (
 
 
 def _validate_top(config):
-    if not isinstance(config, dict):
-        raise ConfigError("experiment config must be a JSON object", field="")
     _reject_unknown(config, _TOP_KEYS, "")
     method = _require(config, "method", "")
     if method not in _METHODS:
@@ -187,7 +192,7 @@ def _run_single(method, config, family, theta_p, theta0, run_seed):
         return theta, {"trace": trace.to_csv, "stack": stack.to_csv}
     if method in ("gd", "nesterov"):
         risk = _build_risk(_require(config, "risk", ""), family, run_seed)
-        block = dict(_require(config, method, ""))
+        block = _object(_require(config, method, ""), method)
         where = method + "."
         objective_keys = {"lambda": "lam", "delta": None, "n_data": None, "c_range": None}
         catoni_kwargs = {}
@@ -206,7 +211,7 @@ def _run_single(method, config, family, theta_p, theta0, run_seed):
         theta, trace = run_gd(risk, family, theta_p, theta0, gd_cfg, catoni_cfg, run_seed)
         return theta, {"trace": trace.to_csv}
     # meta
-    tasks_block = dict(_require(config, "tasks", ""))
+    tasks_block = _object(_require(config, "tasks", ""), "tasks")
     _reject_unknown(tasks_block, ("n_tasks", "lambda"), "tasks.")
     n_tasks = tasks_block.get("n_tasks", 10)
     if type(n_tasks) is not int or n_tasks < 1:
@@ -214,7 +219,7 @@ def _run_single(method, config, family, theta_p, theta0, run_seed):
     task_lam = tasks_block.get("lambda", 0.1)
     if isinstance(task_lam, bool) or not isinstance(task_lam, (int, float)) or not task_lam > 0:
         raise ConfigError("tasks.lambda must be a positive number", field="tasks.lambda")
-    block = dict(_require(config, "meta", ""))
+    block = _object(_require(config, "meta", ""), "meta")
     if "inner_first" not in block:
         raise ConfigError("meta.inner_first is required", field="meta.inner_first")
     block["inner_first"] = _catoni_from(block["inner_first"], "meta.inner_first.")
@@ -266,6 +271,8 @@ def run_experiment(config, output_dir=None, master_seed=None):
             config = json.load(fh)
     if isinstance(config, dict) and "config" in config and "method" not in config:
         config = config["config"]
+    if not isinstance(config, dict):
+        raise ConfigError("experiment config must be a JSON object", field="")
     config = dict(config)
     if output_dir is not None:
         config["output_dir"] = str(output_dir)

@@ -66,6 +66,20 @@ def _normalize_blocks(predictor_dim, structure, blocks):
     return groups
 
 
+def _quad_cov(mean, cov, i, j, k, l):
+    """Cov(x_i x_j, x_k x_l) under N(mean, cov), elementwise over index arrays."""
+    c_ik, c_jl, c_il, c_jk = cov[i, k], cov[j, l], cov[i, l], cov[j, k]
+    m_i, m_j, m_k, m_l = mean[i], mean[j], mean[k], mean[l]
+    return (
+        c_ik * c_jl
+        + c_il * c_jk
+        + m_i * m_k * c_jl
+        + m_i * m_l * c_jk
+        + m_j * m_k * c_il
+        + m_j * m_l * c_ik
+    )
+
+
 class GaussianFamily:
     """Gaussian exponential family with a declared covariance structure.
 
@@ -286,21 +300,14 @@ class GaussianFamily:
         cross = cov[:, qj] * mean[qi][None, :] + cov[:, qi] * mean[qj][None, :]
         info[:k, k:] = cross
         info[k:, :k] = cross.T
-        c_ik = cov[qi[:, None], qi[None, :]]
-        c_jl = cov[qj[:, None], qj[None, :]]
-        c_il = cov[qi[:, None], qj[None, :]]
-        c_jk = cov[qj[:, None], qi[None, :]]
-        m_i, m_j = mean[qi][:, None], mean[qj][:, None]
-        m_k, m_l = mean[qi][None, :], mean[qj][None, :]
-        info[k:, k:] = (
-            c_ik * c_jl
-            + c_il * c_jk
-            + m_i * m_k * c_jl
-            + m_i * m_l * c_jk
-            + m_j * m_k * c_il
-            + m_j * m_l * c_ik
-        )
+        info[k:, k:] = _quad_cov(mean, cov, qi[:, None], qj[:, None], qi[None, :], qj[None, :])
         return info
+
+    def _fisher_diag(self, theta):
+        """``diag(fisher_info(theta))``, from the same expressions on the diagonal only."""
+        mean, cov = self.moments_from_natural(theta)
+        qi, qj = self._qi, self._qj
+        return np.concatenate([np.diag(cov), _quad_cov(mean, cov, qi, qj, qi, qj)])
 
     def kl(self, theta1, theta2):
         """KL divergence KL(pi_theta1 || pi_theta2).

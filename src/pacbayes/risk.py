@@ -10,6 +10,7 @@ verification) and the bounded synthetic benchmark risk.
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,8 +191,9 @@ class EvalStack:
     entries is free.  ``generation_params`` maps a step to the natural
     parameter its batch was drawn from, when the recorder gave one; it is
     kept in memory only, so a ledger read back from CSV has none.  The log
-    density of each step's batch under a given family and parameter is
-    memoised the same way, at most one float per stored entry.
+    density of each entry under the parameter that drew its batch is
+    memoised the same way, one float per stored entry.  While a solve holds
+    the ledger (:meth:`_holding_suff_stat`), T(x) of each entry is kept too.
     """
 
     def __init__(self, predictor_dim):
@@ -200,8 +202,13 @@ class EvalStack:
         self._values = np.empty(0)
         self._steps = np.empty(0, dtype=int)
         self.generation_params = {}
-        # step -> ((family, theta bytes), log density of the step's batch)
-        self._batch_log_densities = {}
+        # Log density of the first entries under their steps' parameters, the
+        # family it was taken in, and each covered step's parameter bytes.
+        self._log_den = np.empty(0)
+        self._log_den_family = None
+        self._log_den_theta = {}
+        # (family, T table, rows filled) while a solve holds the ledger.
+        self._held_suff_stat = None
 
     def __len__(self):
         return self._values.size
@@ -237,24 +244,66 @@ class EvalStack:
         self._points = np.concatenate([self._points, pts], axis=0)
         self._values = np.concatenate([self._values, vals])
         self._steps = np.concatenate([self._steps, np.full(vals.size, int(step), dtype=int)])
-        self._batch_log_densities.pop(int(step), None)
+        if int(step) in self._log_den_theta:
+            # The step's batch grew, so its densities are evaluated anew.
+            self._log_den, self._log_den_theta = np.empty(0), {}
         if theta is not None:
             self.generation_params[int(step)] = np.array(theta, dtype=float)
         return self
 
-    def _batch_log_density(self, step, family, theta):
-        """Log density under ``family`` at ``theta`` of the batch charged to ``step``.
+    def _generation_log_density(self, family, generation_params):
+        """Log density of each entry under the parameter that drew its step's batch.
 
-        The value is reused only for an equal family and a bit-identical
-        ``theta``; recording to ``step`` again drops it.
+        ``generation_params`` maps each step to that parameter.  Densities
+        are evaluated one step's batch at a time and memoised; a later call
+        evaluates only the entries appended since.  The memo is rebuilt for
+        another family, when a covered step's parameter differs in its
+        bytes, and after a record to a covered step.
         """
-        theta = np.asarray(theta, dtype=float)
-        key = (family, theta.tobytes())
-        entry = self._batch_log_densities.get(step)
-        if entry is None or entry[0] != key:
-            entry = key, family.log_density(theta, self._points[self._steps == step])
-            self._batch_log_densities[step] = entry
-        return entry[1]
+        done = self._log_den.size
+        ledger_steps = self._log_den_theta.keys() | set(np.unique(self._steps[done:]).tolist())
+        thetas = {}
+        for step in sorted(ledger_steps):
+            if step not in generation_params:
+                raise ValueError(f"missing generation parameter for step {step}")
+            thetas[step] = np.asarray(generation_params[step], dtype=float)
+        if family != self._log_den_family or any(
+            thetas[step].tobytes() != key for step, key in self._log_den_theta.items()
+        ):
+            self._log_den, self._log_den_family, self._log_den_theta = np.empty(0), family, {}
+            done = 0
+        steps = self._steps[done:]
+        log_den = np.empty(steps.size)
+        for step in np.unique(steps).tolist():
+            mask = steps == step
+            log_den[mask] = family.log_density(thetas[step], self._points[done:][mask])
+            self._log_den_theta[step] = thetas[step].tobytes()
+        self._log_den = np.concatenate([self._log_den, log_den])
+        return self._log_den
+
+    @contextmanager
+    def _holding_suff_stat(self, family, rows):
+        """Keep T(x) under ``family`` of up to ``rows`` entries until the block exits.
+
+        The table is allocated once, so the kernel maps its pages only as
+        entries fill them.
+        """
+        self._held_suff_stat = family, np.empty((rows, family.dim)), 0
+        try:
+            yield self
+        finally:
+            self._held_suff_stat = None
+
+    def _suff_stat(self, family):
+        """T(x) of every entry; a held table evaluates only appended entries."""
+        held = self._held_suff_stat
+        if held is None or held[0] != family or len(held[1]) < len(self):
+            return family.suff_stat(self._points)
+        _, table, filled = held
+        if filled < len(self):
+            table[filled : len(self)] = family.suff_stat(self._points[filled:])
+            self._held_suff_stat = family, table, len(self)
+        return table[: len(self)]
 
     def next_step(self):
         """Smallest step index not yet charged (0 on an empty stack)."""

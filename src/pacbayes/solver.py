@@ -20,6 +20,7 @@ from dataclasses import dataclass, fields
 from numbers import Integral, Real
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .families import DomainError, params_from_json
 from .risk import EvalStack, eval_risk
@@ -187,6 +188,41 @@ def surrogate_argmin(theta_p, eta, lam):
     return np.asarray(theta_p, dtype=float) - np.asarray(eta, dtype=float) / float(lam)
 
 
+def _ray_kl(family, theta, delta):
+    """KL(pi_{theta + alpha delta} || pi_theta) as a function of alpha.
+
+    The precision and b = Lambda mu are linear in the natural parameter, so
+    with Lambda_0 = L L^T at ``theta`` and the eigendecomposition
+    V diag(e) V^T of the whitened step L^-1 dLambda L^-T, the parameter
+    at alpha has precision L V (I + alpha diag(e)) V^T L^T and
+
+        2 KL = sum 1 / s - k + ||c(alpha) / s - c_0||^2 + sum log s,
+
+    with s = 1 + alpha e and c(alpha) = V^T L^-1 b(alpha).  Each trial
+    costs O(k).  The function returns None where some s <= 0, which is
+    exactly where the parameter leaves the domain.  ``theta`` outside the
+    domain raises :class:`DomainError` from the factorization.
+    """
+    factor, _, b0 = family._factor(theta)
+    chol, k = factor[0], family.predictor_dim
+    d_lam, d_b = family.precision_mean_form(delta)
+    # L^-1 [dLambda | b_0 | db] in one solve; theta and delta are finite here.
+    rhs = np.column_stack([d_lam, b0, d_b])
+    white = solve_triangular(chol, rhs, lower=True, check_finite=False)
+    step = solve_triangular(chol, white[:, :k].T, lower=True, check_finite=False)
+    eig, vecs = np.linalg.eigh(step)
+    c0, dc = (vecs.T @ white[:, k:]).T
+
+    def kl(alpha):
+        s = 1.0 + alpha * eig
+        if not np.all(s > 0):
+            return None
+        r = (c0 + alpha * dc) / s - c0
+        return 0.5 * float(np.sum(1.0 / s) - eig.size + r @ r + np.sum(np.log(s)))
+
+    return kl
+
+
 def damped_update(family, theta, theta_cand, kl_max, alpha_max):
     """Largest damped step toward ``theta_cand`` within the trust region.
 
@@ -194,9 +230,10 @@ def damped_update(family, theta, theta_cand, kl_max, alpha_max):
     theta) stays in the domain and within KL ``kl_max`` of ``theta``.  The KL
     along the ray is nondecreasing in alpha, so bisection applies; the lower
     (feasible) endpoint is returned once the bracket is within
-    ``_BISECTION_TOL`` or after ``_BISECTION_MAX_ITER`` halvings.
-    ``theta`` must lie in the domain: a :class:`DomainError` from the KL is
-    read as a candidate outside it.
+    ``_BISECTION_TOL`` or after ``_BISECTION_MAX_ITER`` halvings.  Every
+    trial reads the KL from one eigendecomposition along the ray.
+    ``theta`` outside the domain raises :class:`DomainError`, and a
+    non-finite ``theta_cand`` a ValueError.
 
     Returns
     -------
@@ -204,15 +241,17 @@ def damped_update(family, theta, theta_cand, kl_max, alpha_max):
         The damped iterate and the alpha actually used.
     """
     theta = np.asarray(theta, dtype=float)
-    delta = np.asarray(theta_cand, dtype=float) - theta
+    theta_cand = np.asarray(theta_cand, dtype=float)
+    if not np.all(np.isfinite(theta_cand)):
+        raise ValueError("candidate theta_cand contains non-finite entries")
+    delta = theta_cand - theta
+    ray_kl = _ray_kl(family, theta, delta)
     if not np.any(delta):
         return theta.copy(), float(alpha_max)
 
     def feasible(alpha):
-        try:
-            return family.kl(theta + alpha * delta, theta) <= kl_max
-        except DomainError:
-            return False
+        kl = ray_kl(alpha)
+        return kl is not None and kl <= kl_max
 
     if feasible(alpha_max):
         return theta + alpha_max * delta, float(alpha_max)
@@ -376,70 +415,73 @@ def run_supac_ce(risk, family, theta_p, theta0, config, seed, stack=None):
     # The reporting pass's Voronoi search, carried into the next step.
     nearest = None
 
-    for step in range(config.max_steps):
-        n_draw = config.queries_at(step)
-        if n_draw > 0:
-            points = family.sample(theta, n_draw, child_seed(seed, step, ROLE_DRAW))
-            values = eval_risk(risk, points)
-            stack.record(points, values, step_offset + step, theta=theta)
-        if len(stack) == 0:
-            raise ValueError(
-                "no evaluations available; set n_initial_queries > 0 or pass a warm stack"
-            )
-        if nearest is not None:
-            # Free the carried search before the report builds the next one.
-            weights, nearest = nearest.weights(stack), None
-        else:
-            weights = _weights_for(
-                config,
-                stack,
-                family,
-                theta,
-                child_seed(seed, step, ROLE_WEIGHTS),
-                step_offset + step,
-            )
-        fit = project(stack, weights, family, theta)
-        if step == 0 and not (
-            np.isfinite(fit.gram_condition) and fit.gram_condition <= GRAM_CONDITION_LIMIT
-        ):
-            raise ValueError(
-                "projection Gram matrix is ill conditioned at the first step; "
-                f"need more than {family.dim + 1} distinct evaluations "
-                f"(ledger holds {len(stack)}); increase n_initial_queries"
-            )
-        theta_cand = surrogate_argmin(theta_p, fit.eta, config.lam)
-        theta_next, alpha = damped_update(
-            family, theta, theta_cand, config.kl_max, config.alpha_max
-        )
-        step_kl = family.kl(theta_next, theta)
-        if config.record_trace:
-            # The report at theta_next draws from the next step's weight
-            # stream, so a Voronoi step after it scores only its new batch.
-            report_seed = child_seed(seed, step + 1, ROLE_WEIGHTS)
-            if config.weighting == "voronoi":
-                nearest = _NearestPoints(family, theta_next, config.n_mc_weights, report_seed)
-                report_weights = nearest.weights(stack)
+    # T(x) of each ledger row is evaluated once for this solve, then dropped.
+    rows = len(stack) + sum(config.queries_at(step) for step in range(config.max_steps))
+    with stack._holding_suff_stat(family, rows):
+        for step in range(config.max_steps):
+            n_draw = config.queries_at(step)
+            if n_draw > 0:
+                points = family.sample(theta, n_draw, child_seed(seed, step, ROLE_DRAW))
+                values = eval_risk(risk, points)
+                stack.record(points, values, step_offset + step, theta=theta)
+            if len(stack) == 0:
+                raise ValueError(
+                    "no evaluations available; set n_initial_queries > 0 or pass a warm stack"
+                )
+            if nearest is not None:
+                # Free the carried search before the report builds the next one.
+                weights, nearest = nearest.weights(stack), None
             else:
-                report_weights = _weights_for(
-                    config, stack, family, theta_next, report_seed, step_offset + step
+                weights = _weights_for(
+                    config,
+                    stack,
+                    family,
+                    theta,
+                    child_seed(seed, step, ROLE_WEIGHTS),
+                    step_offset + step,
                 )
-            mean_risk = estimate_mean_risk(stack, report_weights)
-            kl_prior = family.kl(theta_next, theta_p)
-            trace.append(
-                TraceRecord(
-                    step=step,
-                    queries=stack.query_count,
-                    obj_cat=catoni_objective(mean_risk, kl_prior, config.lam),
-                    pb_cat=catoni_bound(mean_risk, kl_prior, config),
-                    kl_to_prior=kl_prior,
-                    alpha=alpha,
-                    theta=theta_next.copy(),
+            fit = project(stack, weights, family, theta)
+            if step == 0 and not (
+                np.isfinite(fit.gram_condition) and fit.gram_condition <= GRAM_CONDITION_LIMIT
+            ):
+                raise ValueError(
+                    "projection Gram matrix is ill conditioned at the first step; "
+                    f"need more than {family.dim + 1} distinct evaluations "
+                    f"(ledger holds {len(stack)}); increase n_initial_queries"
                 )
+            theta_cand = surrogate_argmin(theta_p, fit.eta, config.lam)
+            theta_next, alpha = damped_update(
+                family, theta, theta_cand, config.kl_max, config.alpha_max
             )
-        theta = theta_next
-        # KL is nonnegative; clamp roundoff so tol = 0 disables the stop.
-        if max(step_kl, 0.0) < config.convergence_kl_tol:
-            break
+            step_kl = family.kl(theta_next, theta)
+            if config.record_trace:
+                # The report at theta_next draws from the next step's weight
+                # stream, so a Voronoi step after it scores only its new batch.
+                report_seed = child_seed(seed, step + 1, ROLE_WEIGHTS)
+                if config.weighting == "voronoi":
+                    nearest = _NearestPoints(family, theta_next, config.n_mc_weights, report_seed)
+                    report_weights = nearest.weights(stack)
+                else:
+                    report_weights = _weights_for(
+                        config, stack, family, theta_next, report_seed, step_offset + step
+                    )
+                mean_risk = estimate_mean_risk(stack, report_weights)
+                kl_prior = family.kl(theta_next, theta_p)
+                trace.append(
+                    TraceRecord(
+                        step=step,
+                        queries=stack.query_count,
+                        obj_cat=catoni_objective(mean_risk, kl_prior, config.lam),
+                        pb_cat=catoni_bound(mean_risk, kl_prior, config),
+                        kl_to_prior=kl_prior,
+                        alpha=alpha,
+                        theta=theta_next.copy(),
+                    )
+                )
+            theta = theta_next
+            # KL is nonnegative; clamp roundoff so tol = 0 disables the stop.
+            if max(step_kl, 0.0) < config.convergence_kl_tol:
+                break
     return theta, trace, stack
 
 

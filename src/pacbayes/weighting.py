@@ -171,21 +171,15 @@ def importance_weights(stack, family, theta, generation_params):
     """Self-normalized density-ratio weights d(pi_theta) / d(pi_generation).
 
     ``generation_params`` maps each ledger step index to the natural
-    parameter the batch was drawn from.  Each batch's log density under its
-    generating parameter is memoised on the stack, so repeated calls pay
-    only for the numerator.
+    parameter the batch was drawn from.  The ledger memoises each entry's
+    log density under its generating parameter, so repeated calls pay only
+    for the numerator and for the entries appended since.
     """
     if len(stack) == 0:
         raise ValueError("evaluation stack is empty")
-    log_num = family.log_density(theta, stack.points)
-    log_den = np.empty(len(stack))
-    for step in np.unique(stack.steps).tolist():
-        if step not in generation_params:
-            raise ValueError(f"missing generation parameter for step {step}")
-        log_den[stack.steps == step] = stack._batch_log_density(
-            step, family, generation_params[step]
-        )
-    log_w = log_num - log_den
+    g = family.log_partition(theta)
+    log_num = stack._suff_stat(family) @ np.asarray(theta, dtype=float) - g
+    log_w = log_num - stack._generation_log_density(family, generation_params)
     log_w -= log_w.max()
     w = np.exp(log_w)
     return w / w.sum()
@@ -214,14 +208,14 @@ def project(stack, weights, family, theta):
     if total <= 0:
         raise ValueError("weights must have positive total mass")
     wn = w / total
-    t = family.suff_stat(stack.points)
+    t = stack._suff_stat(family)
     y = stack.values
     t_bar = wn @ t
     y_bar = float(wn @ y)
-    tc = t - t_bar
-    scale = np.sqrt(np.diag(family.fisher_info(theta)))
+    scale = np.sqrt(family._fisher_diag(theta))
     scale = np.where(scale > 0, scale, 1.0)
-    z = tc / scale
+    z = t - t_bar
+    z /= scale
     gram = z.T @ (wn[:, None] * z)
     rhs = z.T @ (wn * (y - y_bar))
     gram_condition = float(np.linalg.cond(gram))

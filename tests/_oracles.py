@@ -175,3 +175,17 @@ def random_spd(rng, k, scale=1.0):
     q = q * np.where(np.diag(r) >= 0, 1.0, -1.0)
     eigs = scale * np.exp(rng.uniform(-1.0, 1.0, size=k))
     return (q * eigs) @ q.T
+
+
+def random_theta(family, rng, mean_scale=1.0, var_scale=1.0):
+    """Random in-domain natural parameter via random moments."""
+    k = family.predictor_dim
+    mean = mean_scale * rng.standard_normal(k)
+    if family.structure == "full":
+        cov = random_spd(rng, k, scale=var_scale)
+    else:
+        cov = np.zeros((k, k))
+        for block in family.blocks:
+            ix = np.ix_(block, block)
+            cov[ix] = random_spd(rng, len(block), scale=var_scale)
+    return family.natural_from_moments(mean, cov)

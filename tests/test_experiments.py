@@ -1,5 +1,6 @@
 """Config-driven experiment runs, aggregation and the command line."""
 
+import copy
 import json
 import re
 
@@ -369,6 +370,33 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         capsys.readouterr()
         assert main(["run", "--config", str(path)]) == 2, cfg
         assert f"error: {field} " in capsys.readouterr().err
+    # a config, or a block of one, that is not a JSON object exits 2 naming it
+    def with_block(cfg, method, block):
+        cfg = {key: value for key, value in cfg.items() if key != cfg["method"]}
+        return dict(cfg, method=method, **{method: block})
+
+    supac, meta = supac_config(tmp_path / "out"), meta_config(tmp_path / "out")
+    meta_first = copy.deepcopy(meta)
+    meta_first["meta"]["inner_first"] = 5
+    meta_warm = copy.deepcopy(meta)
+    meta_warm["meta"]["inner_warm"] = [1, 2]
+    for field, cfg in (
+        ("supac_ce", with_block(supac, "supac_ce", 5)),
+        ("supac_ce", with_block(supac, "supac_ce", [1, 2])),
+        ("gd", with_block(supac, "gd", 5)),
+        ("nesterov", with_block(supac, "nesterov", [1, 2])),
+        ("tasks", dict(meta, tasks=5)),
+        ("meta", with_block(meta, "meta", [1, 2])),
+        ("meta.inner_first", meta_first),
+        ("meta.inner_warm", meta_warm),
+        ("experiment config", 5),
+        ("experiment config", [1, 2]),
+    ):
+        path = tmp_path / "not_an_object.json"
+        path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert main(["run", "--config", str(path)]) == 2, cfg
+        assert field in capsys.readouterr().err
     assert not (tmp_path / "out" / "manifest.json").exists()
 
     # a failing meta inner solve is a runtime failure whose message names the task

@@ -15,21 +15,8 @@ from _oracles import (
     normalization_1d,
     normalization_2d_full,
     random_spd,
+    random_theta,
 )
-
-
-def random_theta(family, rng, mean_scale=1.0, var_scale=1.0):
-    """Random in-domain natural parameter via random moments."""
-    k = family.predictor_dim
-    mean = mean_scale * rng.standard_normal(k)
-    if family.structure == "full":
-        cov = random_spd(rng, k, scale=var_scale)
-    else:
-        cov = np.zeros((k, k))
-        for block in family.blocks:
-            ix = np.ix_(block, block)
-            cov[ix] = random_spd(rng, len(block), scale=var_scale)
-    return family.natural_from_moments(mean, cov)
 
 
 def test_suff_stat_values():
@@ -212,6 +199,19 @@ def test_fisher_info_symmetric_positive_definite():
         info = fam.fisher_info(theta)
         np.testing.assert_allclose(info, info.T, rtol=1e-12)
         assert np.all(np.linalg.eigvalsh(info) > 0)
+
+
+def test_fisher_diagonal_equals_the_diagonal_of_fisher_info():
+    rng = np.random.default_rng(43)
+    families = (
+        GaussianFamily(4, structure="full"),
+        GaussianFamily(4, structure="diag"),
+        GaussianFamily(5, structure="block", blocks=[(0, 3), (1, 2, 4)]),
+    )
+    for fam in families:
+        for _ in range(200):
+            theta = random_theta(fam, rng, mean_scale=2.0)
+            np.testing.assert_array_equal(fam._fisher_diag(theta), np.diag(fam.fisher_info(theta)))
 
 
 def test_kl_known_values():

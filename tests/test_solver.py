@@ -8,6 +8,8 @@ import pytest
 
 from pacbayes import (
     CatoniConfig,
+    CustomRisk,
+    DomainError,
     EvalStack,
     GaussianFamily,
     QuadraticRisk,
@@ -20,6 +22,7 @@ from pacbayes.meta import MetaRecord, MetaTrace
 from pacbayes.solver import (
     SolverTrace,
     TraceRecord,
+    _ray_kl,
     bound_offset,
     catoni_bound,
     catoni_objective,
@@ -28,7 +31,7 @@ from pacbayes.solver import (
     surrogate_argmin,
 )
 
-from _oracles import family_moments, fd_grad, gauss_expect, quad_projection
+from _oracles import family_moments, fd_grad, gauss_expect, quad_projection, random_theta
 
 
 def small_config(**kwargs):
@@ -165,6 +168,91 @@ def test_damped_update_degenerate_direction():
     nxt, alpha = damped_update(fam, theta, theta.copy(), kl_max=1.0, alpha_max=0.7)
     np.testing.assert_array_equal(nxt, theta)
     assert alpha == 0.7
+
+
+def test_damped_update_rejects_bad_inputs():
+    fam = GaussianFamily(2)
+    theta = standard_normal_params(fam)
+    for bad in (np.nan, np.inf):
+        cand = theta.copy()
+        cand[0] = bad
+        with pytest.raises(ValueError, match="theta_cand"):
+            damped_update(fam, theta, cand, kl_max=1.0, alpha_max=0.5)
+    outside = theta.copy()
+    outside[2] = 0.5  # q_11 = -Lambda_11 / 2 > 0: not a density
+    with pytest.raises(DomainError):
+        damped_update(fam, outside, theta, kl_max=1.0, alpha_max=0.5)
+
+
+RAY_FAMILIES = (
+    GaussianFamily(4, structure="full"),
+    GaussianFamily(4, structure="diag"),
+    GaussianFamily(5, structure="block", blocks=[(0, 2), (1, 3, 4)]),
+)
+
+
+def test_ray_kl_matches_family_kl():
+    rng = np.random.default_rng(61)
+    inside = outside = 0
+    for fam in RAY_FAMILIES:
+        for _ in range(70):
+            theta = random_theta(fam, rng)
+            # A scaled random parameter: with a negative scale the ray leaves the domain.
+            delta = rng.uniform(-2.0, 2.0) * random_theta(fam, rng) - theta
+            ray_kl = _ray_kl(fam, theta, delta)
+            for alpha in rng.uniform(0.05, 3.0, size=4):
+                try:
+                    expected = fam.kl(theta + alpha * delta, theta)
+                except DomainError:
+                    assert ray_kl(alpha) is None
+                    outside += 1
+                else:
+                    assert ray_kl(alpha) == pytest.approx(expected, rel=1e-10, abs=0.0)
+                    inside += 1
+    assert inside > 200 and outside > 200
+
+
+def _bisection_over_kl(family, theta, theta_cand, kl_max, alpha_max):
+    """The trust-region step as a bisection calling ``family.kl`` at every trial."""
+    delta = theta_cand - theta
+    if not np.any(delta):
+        return theta.copy(), float(alpha_max)
+
+    def feasible(alpha):
+        try:
+            return family.kl(theta + alpha * delta, theta) <= kl_max
+        except DomainError:
+            return False
+
+    if feasible(alpha_max):
+        return theta + alpha_max * delta, float(alpha_max)
+    lo, hi = 0.0, float(alpha_max)
+    for _ in range(200):
+        if hi - lo <= 1e-9:
+            break
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return theta + lo * delta, lo
+
+
+def test_damped_update_matches_a_bisection_over_family_kl():
+    rng = np.random.default_rng(67)
+    binding = 0
+    for fam in RAY_FAMILIES:
+        for _ in range(40):
+            theta = random_theta(fam, rng)
+            cand = rng.uniform(-2.0, 2.0) * random_theta(fam, rng)
+            kl_max = rng.choice([0.05, 0.5, 2.0, np.inf])
+            alpha_max = rng.choice([0.5, 1.0])
+            expected, expected_alpha = _bisection_over_kl(fam, theta, cand, kl_max, alpha_max)
+            nxt, alpha = damped_update(fam, theta, cand, kl_max, alpha_max)
+            assert alpha == expected_alpha
+            np.testing.assert_array_equal(nxt, expected)
+            binding += alpha < alpha_max
+    assert 20 < binding < 100
 
 
 def test_estimate_mean_risk():
@@ -354,6 +442,26 @@ def test_solver_trace_recording_does_not_affect_iterates():
     theta, stack = both(theta_p, None, 31, n_initial_queries=60, n_queries_per_step=12)
     both(theta, stack, 32, n_initial_queries=20, n_queries_per_step=12)
     both(theta, stack, 33, query_schedule=(20, 0, 20, 0), max_steps=4)
+
+
+def test_solver_holds_suff_stats_only_while_it_runs():
+    fam = GaussianFamily(2)
+    theta_p = standard_normal_params(fam)
+    config = small_config(weighting="importance", max_steps=2)
+    stack = EvalStack(2)
+    held = []
+
+    def risk(x):
+        held.append(stack._held_suff_stat is not None)
+        if len(held) == 3:
+            raise RuntimeError("risk failed")
+        return np.sin(x).sum(axis=1)
+
+    run_supac_ce(CustomRisk(risk, 2), fam, theta_p, theta_p, config, seed=0, stack=stack)
+    assert held == [True, True] and stack._held_suff_stat is None
+    with pytest.raises(RuntimeError, match="risk failed"):
+        run_supac_ce(CustomRisk(risk, 2), fam, theta_p, theta_p, config, seed=1, stack=stack)
+    assert held[2] and stack._held_suff_stat is None
 
 
 def test_solver_rejects_out_of_domain_inputs():

@@ -16,7 +16,7 @@ from pacbayes import (
 from pacbayes.risk import eval_risk
 from pacbayes.weighting import GRAM_CONDITION_LIMIT, exact_voronoi_weights_1d, uniform_weights
 
-from _oracles import gauss_nodes, quad_projection, random_spd
+from _oracles import gauss_nodes, quad_projection, random_spd, random_theta
 
 
 def stack_from_points(points, values=None):
@@ -218,8 +218,7 @@ def test_importance_weights_memo_matches_a_fresh_stack():
             fresh.record(pts, np.zeros(len(pts)), step)
         w = importance_weights(stack, family, target, generation)
         np.testing.assert_array_equal(w, importance_weights(fresh, family, target, generation))
-        memo = stack._batch_log_densities.values()
-        assert sum(density.size for _, density in memo) <= len(stack)
+        assert stack._log_den.size <= len(stack)
 
     record(0, thetas[0])
     record(1, thetas[1])
@@ -231,6 +230,52 @@ def test_importance_weights_memo_matches_a_fresh_stack():
     check(fam, {0: thetas[1], 1: thetas[2], 2: thetas[0]})
     check(fam, stack.generation_params)
     check(other, stack.generation_params)
+
+
+def test_importance_and_project_on_a_grown_stack_match_a_fresh_stack():
+    fam = GaussianFamily(3)
+    rng = np.random.default_rng(71)
+    thetas = [random_theta(fam, rng, mean_scale=0.3) for _ in range(5)]
+    target = thetas[-1]
+    stack = EvalStack(3)
+
+    def fresh():
+        other = EvalStack(3)
+        for step in np.unique(stack.steps).tolist():
+            mask = stack.steps == step
+            other.record(stack.points[mask], stack.values[mask], step, theta=thetas[step])
+        return other
+
+    def check(step):
+        foreign = {s: thetas[(s + 1) % len(thetas)] for s in range(step + 1)}
+        for generation in (stack.generation_params, foreign, stack.generation_params):
+            w = importance_weights(stack, fam, target, generation)
+            np.testing.assert_array_equal(w, importance_weights(fresh(), fam, target, generation))
+            fit, fresh_fit = project(stack, w, fam, target), project(fresh(), w, fam, target)
+            np.testing.assert_array_equal(fit.eta, fresh_fit.eta)
+            assert (fit.offset, fit.weighted_rss, fit.gram_condition) == (
+                fresh_fit.offset, fresh_fit.weighted_rss, fresh_fit.gram_condition
+            )
+        assert stack._held_suff_stat[2] == len(stack)
+
+    with stack._holding_suff_stat(fam, 60):
+        for step, theta in enumerate(thetas):
+            pts = fam.sample(theta, 7 + step, seed=step)
+            stack.record(pts, np.sin(pts).sum(axis=1), step, theta=theta)
+            check(step)
+        # More rows for the last step: its densities are taken over the whole batch again.
+        pts = fam.sample(thetas[-1], 9, seed=len(thetas))
+        stack.record(pts, np.sin(pts).sum(axis=1), len(thetas) - 1, theta=thetas[-1])
+        check(len(thetas) - 1)
+    assert stack._held_suff_stat is None
+    # A ledger larger than the held table is read afresh, not truncated.
+    with stack._holding_suff_stat(fam, len(stack) - 1):
+        w = importance_weights(stack, fam, target, stack.generation_params)
+        generation = stack.generation_params
+        np.testing.assert_array_equal(w, importance_weights(fresh(), fam, target, generation))
+        np.testing.assert_array_equal(
+            project(stack, w, fam, target).eta, project(fresh(), w, fam, target).eta
+        )
 
 
 def test_project_recovers_in_span_risk_exactly():
