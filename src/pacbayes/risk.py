@@ -265,7 +265,11 @@ class EvalStack:
         thetas = {}
         for step in sorted(ledger_steps):
             if step not in generation_params:
-                raise ValueError(f"missing generation parameter for step {step}")
+                raise ValueError(
+                    f"missing generation parameter for step {step}: importance weighting "
+                    "needs the parameter that drew each batch, and a ledger read with "
+                    "EvalStack.from_csv has none"
+                )
             thetas[step] = np.asarray(generation_params[step], dtype=float)
         if family != self._log_den_family or any(
             thetas[step].tobytes() != key for step, key in self._log_den_theta.items()

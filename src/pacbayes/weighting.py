@@ -11,6 +11,7 @@ yields the surrogate coefficients the solver minimizes in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -19,8 +20,8 @@ from scipy.special import ndtr
 # Gram condition number beyond which a ridge is added before solving.
 GRAM_CONDITION_LIMIT = 1e12
 _RIDGE_SCALE = 1e-10
-# Floats per (draws x scored points) score block in the 1-NN search: about
-# 1 MB, so each block stays in cache while it is built and reduced.
+# Scores per (draws x scored points) block in the 1-NN search: 0.5 MB of
+# float32, so each block stays in cache while it is built and reduced.
 _CHUNK_BUDGET = 131_072
 
 
@@ -52,23 +53,32 @@ class _NearestPoints:
 
     Rows are compared in the Mahalanobis metric of pi_theta, in which the
     draws are standard normals.  Each draw keeps its best row index and
-    score, so ``weights`` on a ledger that has grown since the last call
-    scores only the appended rows.  A draw moves to a later row only when
-    its score is strictly lower, so ties keep the lowest index.  An exact
-    copy of an earlier row never takes a draw: BLAS may round one score
-    differently in products of different shapes, and the copy would win
-    wherever its rounding came out lower.
+    float64 score, so ``weights`` on a ledger that has grown since the last
+    call scores only the appended rows.  A float32 product screens every
+    (draw, row) pair; a draw whose two best float32 scores lie within their
+    rounding bound of each other is scored again in float64, so the result is
+    the float64 nearest row.  Ties keep the lowest index, and a draw moves to
+    a later row only when its score is strictly lower.  An exact copy of an
+    earlier row is not scored and never takes a draw: BLAS may round one
+    score differently in products of different shapes, and the copy would
+    win wherever its rounding came out lower.
     """
 
     def __init__(self, family, theta, n_mc, seed):
-        n_mc = int(n_mc)
+        if isinstance(n_mc, bool) or not isinstance(n_mc, Integral):
+            raise ValueError(f"n_mc must be an integer, got {n_mc!r}")
         if n_mc < 1:
             raise ValueError("n_mc must be at least 1")
+        n_mc, k = int(n_mc), family.predictor_dim
         self._mean, cov = family.moments_from_natural(theta)
         self._chol = np.linalg.cholesky(cov)
         # Whitened samples from pi_theta are exactly standard normal draws.
         rng = np.random.Generator(np.random.Philox(seed))
-        self._draws = rng.standard_normal((n_mc, family.predictor_dim))
+        self._draws = rng.standard_normal((n_mc, k))
+        self._norms = np.sqrt(np.einsum("ij,ij->i", self._draws, self._draws))
+        # [z, 1] in float32: one product with [-2 x; ||x||^2] scores a block.
+        self._draws32 = np.ones((n_mc, k + 1), dtype=np.float32)
+        self._draws32[:, :k] = self._draws
         self._best = np.zeros(n_mc, dtype=np.int64)
         self._score = np.full(n_mc, np.inf)
         self._n_rows = 0
@@ -83,31 +93,69 @@ class _NearestPoints:
         return np.bincount(self._best, minlength=len(stack)) / float(len(self._draws))
 
     def _add_rows(self, points):
-        start, n_new = self._n_rows, len(points)
+        start = self._n_rows
+        self._n_rows += len(points)
         # Adding 0.0 maps -0.0 to 0.0, so both spellings of a point share a key.
         keys = (points + 0.0).view(f"V{points.itemsize * points.shape[1]}").ravel().tolist()
         is_copy = np.array([self._first.setdefault(k, i) != i for i, k in enumerate(keys, start)])
+        cols = np.flatnonzero(~is_copy)
+        if cols.size == 0:
+            return
         xw = solve_triangular(self._chol, (points - self._mean).T, lower=True).T
         # ||x - z||^2 = ||x||^2 - 2 x.z + ||z||^2; the last term is constant
         # per draw and cannot change the argmin over stored points.
-        xn2 = np.sum(xw * xw, axis=1)
-        xn2[is_copy] = np.inf
-        neg2_xw_t = (-2.0 * xw).T
-        n_mc = len(self._draws)
+        xn2 = np.sum(xw * xw, axis=1)[cols]
+        neg2_xw = -2.0 * xw[cols]
+        neg2_xw_t = neg2_xw.T
+        n_mc, k = self._draws.shape
+        m = cols.size
         arg = np.empty(n_mc, dtype=np.int64)
-        score = np.empty(n_mc)
-        chunk = max(1, _CHUNK_BUDGET // n_new)
-        rows = np.arange(min(chunk, n_mc))
-        for lo in range(0, n_mc, chunk):
-            hi = min(lo + chunk, n_mc)
-            scores = self._draws[lo:hi] @ neg2_xw_t
+        gap = np.zeros(n_mc, dtype=np.float32)
+        chunk = max(1, _CHUNK_BUDGET // m)
+        # The float32 screen's rounding bound.  With u = 2^-24, a score is the
+        # (k+1)-term dot product [z, 1] . [-2x, ||x||^2].  Rounding z, -2x and
+        # ||x||^2 to float32 moves each term t by at most (2u + u^2)|t|, and
+        # a float32 dot product of n terms, summed in any order, is off by at
+        # most n u / (1 - n u) sum|t|.  By Cauchy-Schwarz,
+        # sum|t| <= 2 ||z|| ||x|| + ||x||^2 <= 2 ||z|| xmax + xmax^2, where
+        # xmax is the largest whitened norm among the batch's scored rows.  So
+        # each float32 score lies within e(z) = (k + 3) u (2 ||z|| xmax +
+        # xmax^2) of its exact value, to first order; one more u covers the
+        # second-order terms and the float64 scores' own rounding.  If the
+        # float32 winner is not the nearest row, the nearest row's float32
+        # score is at most 2 e(z) above the winner's, so only draws whose two
+        # best float32 scores lie that close need float64.  With
+        # 2^-40 <= xmax <= 2^40 nothing overflows and underflow's absolute
+        # errors stay far below e(z); outside that range, gap stays 0 and
+        # every draw is scored in float64.
+        xmax = np.sqrt(xn2.max())
+        if 2.0**-40 <= xmax <= 2.0**40:
+            aug = np.empty((k + 1, m), dtype=np.float32)
+            aug[:k] = neg2_xw_t
+            aug[k] = xn2
+            block = np.empty((min(chunk, n_mc), m), dtype=np.float32)
+            row_starts = np.arange(0, block.size, m)
+            for lo in range(0, n_mc, chunk):
+                hi = min(lo + chunk, n_mc)
+                scores = np.matmul(self._draws32[lo:hi], aug, out=block[: hi - lo])
+                best = np.argmin(scores, axis=1, out=arg[lo:hi])
+                flat = scores.reshape(-1)
+                winners = row_starts[: hi - lo] + best
+                m1 = flat[winners]
+                flat[winners] = np.inf
+                # A lone row leaves the runner-up at inf: an infinite gap.
+                gap[lo:hi] = scores.min(axis=1) - m1
+        e = (k + 4) * 2.0**-24 * (2.0 * xmax * self._norms + xmax * xmax)
+        ambiguous = np.flatnonzero(gap <= 2.0 * e)
+        for lo in range(0, ambiguous.size, chunk):
+            draws = ambiguous[lo : lo + chunk]
+            scores = self._draws[draws] @ neg2_xw_t
             scores += xn2
-            arg[lo:hi] = np.argmin(scores, axis=1)
-            score[lo:hi] = scores[rows[: hi - lo], arg[lo:hi]]
+            arg[draws] = np.argmin(scores, axis=1)
+        score = np.einsum("ij,ij->i", self._draws, neg2_xw.take(arg, axis=0)) + xn2.take(arg)
         better = score < self._score
-        self._best[better] = arg[better] + start
+        self._best[better] = cols[arg[better]] + start
         self._score[better] = score[better]
-        self._n_rows += n_new
 
 
 def voronoi_weights(stack, family, theta, n_mc=40_000, seed=0):
@@ -115,8 +163,11 @@ def voronoi_weights(stack, family, theta, n_mc=40_000, seed=0):
 
     Draws ``n_mc`` samples from pi_theta, assigns each to its nearest stored
     point in the Mahalanobis metric of pi_theta, and returns the normalized
-    assignment counts.  Ties break toward the lowest index, and an exact
-    duplicate of an earlier point gets no mass, so the result is
+    assignment counts.  ``n_mc`` must be a positive integer (not a bool).
+    The search screens every pair in float32 and settles each draw whose two
+    nearest points the screen cannot tell apart in float64, so the
+    assignment is the float64 one.  Ties break toward the lowest index, and
+    an exact duplicate of an earlier point gets no mass, so the result is
     deterministic given the seed.
 
     Returns

@@ -373,7 +373,9 @@ def test_importance_weighting_warm_starts_from_the_ledger(monkeypatch, tmp_path)
     generation = {0: theta_p, **{s + 1: th for s, th in enumerate(trace.thetas[:-1])}}
     # a ledger read back from CSV carries no generation parameters
     stack.to_csv(tmp_path / "stack.csv")
-    with pytest.raises(ValueError, match="missing generation parameter for step 0"):
+    with pytest.raises(
+        ValueError, match="missing generation parameter for step 0: .*EvalStack.from_csv"
+    ):
         run_supac_ce(
             risk, fam, theta_p, theta, cfg, seed=4, stack=EvalStack.from_csv(tmp_path / "stack.csv")
         )

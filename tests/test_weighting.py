@@ -148,6 +148,65 @@ def test_voronoi_search_extended_by_appended_rows_matches_a_fresh_search(monkeyp
                 np.testing.assert_array_equal(w, before)
 
 
+def test_voronoi_near_ties_match_a_float64_cdist_assignment():
+    # every point has a neighbour about 3e-5 away, inside the float32
+    # screen's rounding bound for many draws: those draws must be settled in
+    # float64 (a plain float32 argmin moves 149 of them here)
+    from scipy.spatial.distance import cdist
+
+    from pacbayes import weighting as wmod
+
+    fam = GaussianFamily(8, structure="full")
+    rng = np.random.default_rng(53)
+    mean = 0.3 * rng.standard_normal(8)
+    cov = random_spd(rng, 8)
+    theta = fam.natural_from_moments(mean, cov)
+    chol = np.linalg.cholesky(cov)
+    base = mean + rng.standard_normal((150, 8)) @ chol.T
+    ties = np.vstack([base, base + 1e-5 * rng.standard_normal((150, 8))])
+    # a row at whitened norm 2e3 widens the bound past every draw's gap, so
+    # every draw is scored in float64; at 1e25 float32 would overflow, and
+    # the screen is skipped
+    far = {norm: mean + chol @ np.r_[norm, np.zeros(7)] for norm in (2e3, 1e25)}
+    n_mc, seed = 20_000, 29
+    z = np.random.Generator(np.random.Philox(seed)).standard_normal((n_mc, 8))
+
+    def cdist_weights(points):
+        xw = np.linalg.solve(chol, (points - mean).T).T
+        return np.bincount(np.argmin(cdist(z, xw), axis=1), minlength=len(points)) / n_mc
+
+    cases = {"near ties": ties}
+    cases.update({f"and a row at norm {norm:g}": np.vstack([ties, x]) for norm, x in far.items()})
+    for case, points in cases.items():
+        w = voronoi_weights(stack_from_points(points), fam, theta, n_mc=n_mc, seed=seed)
+        np.testing.assert_array_equal(w, cdist_weights(points), err_msg=case)
+    # a carried search extended by a batch of copies alone moves no draw
+    stack = stack_from_points(ties)
+    search = wmod._NearestPoints(fam, theta, n_mc, seed)
+    before = search.weights(stack)
+    stack.record(ties[[4, 160, 4]], np.zeros(3), step=1)
+    w = search.weights(stack)
+    np.testing.assert_array_equal(w, np.concatenate([before, np.zeros(3)]))
+
+
+@pytest.mark.parametrize("n_mc", [2.5, 100.0, True, np.True_, "100", 0])
+def test_voronoi_rejects_a_draw_count_that_is_not_a_positive_integer(n_mc):
+    fam = GaussianFamily(2, structure="full")
+    stack = stack_from_points([[0.0, 0.0], [1.0, 0.5]])
+    with pytest.raises(ValueError, match="n_mc must be"):
+        voronoi_weights(stack, fam, standard_normal_params(fam), n_mc=n_mc)
+
+
+def test_voronoi_accepts_a_numpy_integer_draw_count():
+    fam = GaussianFamily(2, structure="full")
+    stack = stack_from_points([[0.0, 0.0], [1.0, 0.5]])
+    theta = standard_normal_params(fam)
+    np.testing.assert_array_equal(
+        voronoi_weights(stack, fam, theta, n_mc=np.int64(500), seed=3),
+        voronoi_weights(stack, fam, theta, n_mc=500, seed=3),
+    )
+
+
 def test_exact_voronoi_weights_1d_duplicates_keep_first_occurrence():
     # under N(0,1), {0, 1} split at 0.5; the second 0 gets nothing
     fam = GaussianFamily(1)
