@@ -21,6 +21,7 @@ checked by attempting a Cholesky factorization.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -29,6 +30,9 @@ from scipy.linalg import cho_factor, cho_solve
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 _STRUCTURES = ("full", "diag", "block")
+# Distinct natural parameters whose factorizations a family keeps: a solve
+# step reads the prior, the iterate and the next iterate.
+_MEMO_SIZE = 4
 
 
 class DomainError(ValueError):
@@ -64,6 +68,46 @@ def _normalize_blocks(predictor_dim, structure, blocks):
     if flat != list(range(predictor_dim)):
         raise ValueError("blocks must partition the predictor indices exactly once")
     return groups
+
+
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
+class _Factored:
+    """One natural parameter inside the domain, factored once.
+
+    Holds the Cholesky factor of the precision and b = Lambda mu; the mean,
+    the covariance, g(theta) and the covariance's Cholesky factor are each
+    computed on first use.  Every array is read-only, so a caller cannot
+    change what later calls read.
+    """
+
+    def __init__(self, factor, b):
+        _read_only(factor[0])
+        self.factor, self.b = factor, _read_only(b)
+
+    @cached_property
+    def mean(self):
+        return _read_only(cho_solve(self.factor, self.b))
+
+    @cached_property
+    def cov(self):
+        cov = cho_solve(self.factor, np.eye(self.b.size))
+        return _read_only(0.5 * (cov + cov.T))
+
+    @cached_property
+    def log_partition(self):
+        logdet = 2.0 * float(np.sum(np.log(np.diag(self.factor[0]))))
+        return float(0.5 * self.b @ self.mean - 0.5 * logdet + 0.5 * self.b.size * _LOG_2PI)
+
+    @cached_property
+    def cov_factor(self):
+        try:
+            return _read_only(np.linalg.cholesky(self.cov))
+        except np.linalg.LinAlgError:
+            raise DomainError("covariance factorization failed") from None
 
 
 def _quad_cov(mean, cov, i, j, k, l):
@@ -119,6 +163,8 @@ class GaussianFamily:
         self._qi = np.asarray(rows, dtype=int)
         self._qj = np.asarray(cols, dtype=int)
         self.dim = predictor_dim + len(rows)
+        # theta bytes -> _Factored, least recently used first.
+        self._memo = {}
 
     # ------------------------------------------------------------------
     # layout helpers
@@ -163,16 +209,28 @@ class GaussianFamily:
         return lam, b
 
     def _factor(self, theta):
-        """Cholesky factor of the precision, or DomainError."""
+        """The :class:`_Factored` record of ``theta``, or DomainError.
+
+        Records are keyed by the parameter's bytes and kept for the last
+        ``_MEMO_SIZE`` distinct parameters; only successful factorizations
+        are kept.
+        """
         theta = self._check_theta(theta)
-        if not np.all(np.isfinite(theta)):
-            raise DomainError("natural parameter contains non-finite entries")
-        lam, b = self.precision_mean_form(theta)
-        try:
-            factor = cho_factor(lam, lower=True)
-        except np.linalg.LinAlgError:
-            raise DomainError("precision matrix is not positive definite") from None
-        return factor, lam, b
+        key = theta.tobytes()
+        memo = self._memo
+        record = memo.pop(key, None)
+        if record is None:
+            if not np.all(np.isfinite(theta)):
+                raise DomainError("natural parameter contains non-finite entries")
+            lam, b = self.precision_mean_form(theta)
+            try:
+                record = _Factored(cho_factor(lam, lower=True), b)
+            except np.linalg.LinAlgError:
+                raise DomainError("precision matrix is not positive definite") from None
+        memo[key] = record
+        if len(memo) > _MEMO_SIZE:
+            del memo[next(iter(memo))]
+        return record
 
     def in_domain(self, theta):
         """True when ``theta`` has a symmetric positive definite precision."""
@@ -245,33 +303,22 @@ class GaussianFamily:
         q = np.where(diag_pair, -0.5 * qvals, -qvals)
         return np.concatenate([b, q])
 
-    def _moments(self, factor, b):
-        cov = cho_solve(factor, np.eye(self.predictor_dim))
-        cov = 0.5 * (cov + cov.T)
-        return Moments(mean=cho_solve(factor, b), cov=cov)
-
     def moments_from_natural(self, theta):
-        """Map natural coordinates to a :class:`Moments` pair."""
-        factor, _, b = self._factor(theta)
-        return self._moments(factor, b)
+        """Map natural coordinates to a :class:`Moments` pair of read-only arrays."""
+        record = self._factor(theta)
+        return Moments(mean=record.mean, cov=record.cov)
 
     # ------------------------------------------------------------------
     # log partition and derived quantities
 
-    def _log_partition(self, factor, b, mu):
-        """g(theta) from the precision factor, b and the mean mu."""
-        logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
-        return float(0.5 * b @ mu - 0.5 * logdet + 0.5 * self.predictor_dim * _LOG_2PI)
-
     def log_partition(self, theta):
         """Log normalizer g(theta) against Lebesgue measure."""
-        factor, _, b = self._factor(theta)
-        return self._log_partition(factor, b, cho_solve(factor, b))
+        return self._factor(theta).log_partition
 
     def log_density(self, theta, x):
         """Log density of pi_theta at x (vectorized over rows of x)."""
         t = self.suff_stat(x)
-        g = self.log_partition(theta)
+        g = self._factor(theta).log_partition
         theta = self._check_theta(theta)
         return t @ theta - g
 
@@ -314,18 +361,15 @@ class GaussianFamily:
 
         Uses the exponential-family identity
         KL = (theta1 - theta2) . grad g(theta1) - g(theta1) + g(theta2).
-        Both terms at theta1 come from one factorization of its precision.
         Raises :class:`DomainError` when either parameter lies outside the
         domain.
         """
         theta1 = self._check_theta(theta1)
         theta2 = self._check_theta(theta2)
-        factor, _, b = self._factor(theta1)
-        mean, cov = self._moments(factor, b)
-        m1 = self._mean_suff_stat(mean, cov)
-        g1 = self._log_partition(factor, b, mean)
-        g2 = self.log_partition(theta2)
-        return float((theta1 - theta2) @ m1 - g1 + g2)
+        first = self._factor(theta1)
+        m1 = self._mean_suff_stat(first.mean, first.cov)
+        second = self._factor(theta2)
+        return float((theta1 - theta2) @ m1 - first.log_partition + second.log_partition)
 
     # ------------------------------------------------------------------
     # sampling
@@ -345,14 +389,11 @@ class GaussianFamily:
         n = int(n)
         if n < 1:
             raise ValueError("n must be at least 1")
-        mean, cov = self.moments_from_natural(theta)
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError:
-            raise DomainError("covariance factorization failed") from None
+        record = self._factor(theta)
+        chol = record.cov_factor
         rng = np.random.Generator(np.random.Philox(seed))
         z = rng.standard_normal((n, self.predictor_dim))
-        return mean + z @ chol.T
+        return record.mean + z @ chol.T
 
     # ------------------------------------------------------------------
     # serialization

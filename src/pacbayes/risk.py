@@ -194,6 +194,8 @@ class EvalStack:
     density of each entry under the parameter that drew its batch is
     memoised the same way, one float per stored entry.  While a solve holds
     the ledger (:meth:`_holding_suff_stat`), T(x) of each entry is kept too.
+    Which entries repeat an earlier point exactly (:meth:`_copies`) is
+    worked out once per entry, when a Voronoi search first reads it.
     """
 
     def __init__(self, predictor_dim):
@@ -203,12 +205,18 @@ class EvalStack:
         self._steps = np.empty(0, dtype=int)
         self.generation_params = {}
         # Log density of the first entries under their steps' parameters, the
-        # family it was taken in, and each covered step's parameter bytes.
+        # family it was taken in, the steps those entries cover, and the bytes
+        # of the covered steps' parameters stacked in that order.
         self._log_den = np.empty(0)
         self._log_den_family = None
-        self._log_den_theta = {}
+        self._log_den_steps = []
+        self._log_den_theta = b""
         # (family, T table, rows filled) while a solve holds the ledger.
         self._held_suff_stat = None
+        # Which of the first entries repeat an earlier point, and the indices
+        # of the distinct points among them, sorted by the points' bytes.
+        self._copy_mask = np.empty(0, dtype=bool)
+        self._distinct_order = np.empty(0, dtype=np.int64)
 
     def __len__(self):
         return self._values.size
@@ -244,9 +252,9 @@ class EvalStack:
         self._points = np.concatenate([self._points, pts], axis=0)
         self._values = np.concatenate([self._values, vals])
         self._steps = np.concatenate([self._steps, np.full(vals.size, int(step), dtype=int)])
-        if int(step) in self._log_den_theta:
+        if int(step) in self._log_den_steps:
             # The step's batch grew, so its densities are evaluated anew.
-            self._log_den, self._log_den_theta = np.empty(0), {}
+            self._log_den, self._log_den_steps, self._log_den_theta = np.empty(0), [], b""
         if theta is not None:
             self.generation_params[int(step)] = np.array(theta, dtype=float)
         return self
@@ -258,31 +266,32 @@ class EvalStack:
         are evaluated one step's batch at a time and memoised; a later call
         evaluates only the entries appended since.  The memo is rebuilt for
         another family, when a covered step's parameter differs in its
-        bytes, and after a record to a covered step.
+        bytes, and after a record to a covered step.  The covered steps'
+        parameters are compared as one stacked array, so a call that finds
+        nothing appended costs a fixed number of numpy calls.
         """
         done = self._log_den.size
-        ledger_steps = self._log_den_theta.keys() | set(np.unique(self._steps[done:]).tolist())
-        thetas = {}
-        for step in sorted(ledger_steps):
-            if step not in generation_params:
-                raise ValueError(
-                    f"missing generation parameter for step {step}: importance weighting "
-                    "needs the parameter that drew each batch, and a ledger read with "
-                    "EvalStack.from_csv has none"
-                )
-            thetas[step] = np.asarray(generation_params[step], dtype=float)
-        if family != self._log_den_family or any(
-            thetas[step].tobytes() != key for step, key in self._log_den_theta.items()
-        ):
-            self._log_den, self._log_den_family, self._log_den_theta = np.empty(0), family, {}
-            done = 0
-        steps = self._steps[done:]
-        log_den = np.empty(steps.size)
-        for step in np.unique(steps).tolist():
-            mask = steps == step
-            log_den[mask] = family.log_density(thetas[step], self._points[done:][mask])
-            self._log_den_theta[step] = thetas[step].tobytes()
+        covered = len(self._log_den_steps)
+        steps = self._log_den_steps + np.unique(self._steps[done:]).tolist()
+        try:
+            thetas = np.array([*map(generation_params.__getitem__, steps)], dtype=float)
+        except KeyError:
+            missing = min(step for step in steps if step not in generation_params)
+            raise ValueError(
+                f"missing generation parameter for step {missing}: importance weighting "
+                "needs the parameter that drew each batch, and a ledger read with "
+                "EvalStack.from_csv has none"
+            ) from None
+        if family != self._log_den_family or thetas[:covered].tobytes() != self._log_den_theta:
+            self._log_den, self._log_den_family = np.empty(0), family
+            done = covered = 0
+        rows = self._steps[done:]
+        log_den = np.empty(rows.size)
+        for step, theta in zip(steps[covered:], thetas[covered:]):
+            mask = rows == step
+            log_den[mask] = family.log_density(theta, self._points[done:][mask])
         self._log_den = np.concatenate([self._log_den, log_den])
+        self._log_den_steps, self._log_den_theta = steps, thetas.tobytes()
         return self._log_den
 
     @contextmanager
@@ -308,6 +317,31 @@ class EvalStack:
             table[filled : len(self)] = family.suff_stat(self._points[filled:])
             self._held_suff_stat = family, table, len(self)
         return table[: len(self)]
+
+    def _copies(self):
+        """True for each entry whose point repeats an earlier entry's exactly.
+
+        -0.0 and 0.0 count as equal.  The mask is extended by the entries
+        appended since the last call, which are looked up among the earlier
+        distinct points in the order of their bytes.
+        """
+        done = self._copy_mask.size
+        if done < len(self):
+            points = self._points + 0.0  # adding 0.0 maps -0.0 to 0.0
+            keys = points.view(f"V{points.itemsize * self.predictor_dim}").ravel()
+            # Each distinct new key, where its first occurrence is, and
+            # whether an earlier entry holds it already.
+            new, first, inverse = np.unique(keys[done:], return_index=True, return_inverse=True)
+            known = keys[self._distinct_order]
+            pos = np.searchsorted(known, new)
+            seen = pos < known.size
+            seen[seen] = known[pos[seen]] == new[seen]
+            copies = np.ones(len(keys) - done, dtype=bool)
+            copies[first] = False
+            copies |= seen[inverse]
+            self._distinct_order = np.insert(self._distinct_order, pos[~seen], done + first[~seen])
+            self._copy_mask = np.concatenate([self._copy_mask, copies])
+        return self._copy_mask
 
     def next_step(self):
         """Smallest step index not yet charged (0 on an empty stack)."""

@@ -203,8 +203,8 @@ def _ray_kl(family, theta, delta):
     exactly where the parameter leaves the domain.  ``theta`` outside the
     domain raises :class:`DomainError` from the factorization.
     """
-    factor, _, b0 = family._factor(theta)
-    chol, k = factor[0], family.predictor_dim
+    factored = family._factor(theta)
+    chol, b0, k = factored.factor[0], factored.b, family.predictor_dim
     d_lam, d_b = family.precision_mean_form(delta)
     # L^-1 [dLambda | b_0 | db] in one solve; theta and delta are finite here.
     rhs = np.column_stack([d_lam, b0, d_b])

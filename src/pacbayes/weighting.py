@@ -59,9 +59,10 @@ class _NearestPoints:
     rounding bound of each other is scored again in float64, so the result is
     the float64 nearest row.  Ties keep the lowest index, and a draw moves to
     a later row only when its score is strictly lower.  An exact copy of an
-    earlier row is not scored and never takes a draw: BLAS may round one
-    score differently in products of different shapes, and the copy would
-    win wherever its rounding came out lower.
+    earlier row (as the ledger marks it) is not scored and never takes a
+    draw: BLAS may round one score differently in products of different
+    shapes, and the copy would win wherever its rounding came out lower.
+    The mean and covariance factor come from the family's memo of ``theta``.
     """
 
     def __init__(self, family, theta, n_mc, seed):
@@ -70,8 +71,8 @@ class _NearestPoints:
         if n_mc < 1:
             raise ValueError("n_mc must be at least 1")
         n_mc, k = int(n_mc), family.predictor_dim
-        self._mean, cov = family.moments_from_natural(theta)
-        self._chol = np.linalg.cholesky(cov)
+        factored = family._factor(theta)
+        self._mean, self._chol = factored.mean, factored.cov_factor
         # Whitened samples from pi_theta are exactly standard normal draws.
         rng = np.random.Generator(np.random.Philox(seed))
         self._draws = rng.standard_normal((n_mc, k))
@@ -82,22 +83,19 @@ class _NearestPoints:
         self._best = np.zeros(n_mc, dtype=np.int64)
         self._score = np.full(n_mc, np.inf)
         self._n_rows = 0
-        self._first = {}  # row bytes -> index of the row's first occurrence
 
     def weights(self, stack):
         """Normalized cell counts over ``stack``, which may only have grown."""
         if len(stack) == 0:
             raise ValueError("evaluation stack is empty")
-        if len(stack) > self._n_rows:
-            self._add_rows(stack.points[self._n_rows :])
+        start = self._n_rows
+        if len(stack) > start:
+            self._add_rows(stack.points[start:], stack._copies()[start:])
         return np.bincount(self._best, minlength=len(stack)) / float(len(self._draws))
 
-    def _add_rows(self, points):
+    def _add_rows(self, points, is_copy):
         start = self._n_rows
         self._n_rows += len(points)
-        # Adding 0.0 maps -0.0 to 0.0, so both spellings of a point share a key.
-        keys = (points + 0.0).view(f"V{points.itemsize * points.shape[1]}").ravel().tolist()
-        is_copy = np.array([self._first.setdefault(k, i) != i for i, k in enumerate(keys, start)])
         cols = np.flatnonzero(~is_copy)
         if cols.size == 0:
             return

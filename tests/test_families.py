@@ -346,3 +346,94 @@ def test_standard_normal_params():
     moments = fam.moments_from_natural(theta)
     np.testing.assert_allclose(moments.mean, np.zeros(3), atol=1e-14)
     np.testing.assert_allclose(moments.cov, np.eye(3), atol=1e-14)
+
+
+def _method_outputs(fam, theta, other, x):
+    """Every public method's result at ``theta`` (``other`` is a second parameter)."""
+    mean, cov = fam.moments_from_natural(theta)
+    return {
+        "mean": mean,
+        "cov": cov,
+        "log_partition": fam.log_partition(theta),
+        "log_density": fam.log_density(theta, x),
+        "kl from": fam.kl(theta, other),
+        "kl to": fam.kl(other, theta),
+        "mean_suff_stat": fam.mean_suff_stat(theta),
+        "fisher_info": fam.fisher_info(theta),
+        "fisher_diag": fam._fisher_diag(theta),
+        "sample": fam.sample(theta, 5, seed=3),
+        "in_domain": fam.in_domain(theta),
+    }
+
+
+def test_factorization_memo_matches_a_fresh_family():
+    # more parameters than the memo keeps, visited again in and out of order
+    from pacbayes import families as fmod
+
+    rng = np.random.default_rng(83)
+    for fam in (
+        GaussianFamily(3, structure="full"),
+        GaussianFamily(3, structure="diag"),
+        GaussianFamily(4, structure="block", blocks=[(0, 2), (1, 3)]),
+    ):
+        thetas = [random_theta(fam, rng) for _ in range(fmod._MEMO_SIZE + 3)]
+        x = rng.standard_normal((7, fam.predictor_dim))
+        order = list(range(len(thetas))) + [0, 5, 1, 1, 6, 2, 0, 3, 3, 4]
+        for i in order:
+            theta, other = thetas[i], thetas[(i + 1) % len(thetas)]
+            got = _method_outputs(fam, theta, other, x)
+            want = _method_outputs(GaussianFamily.from_dict(fam.spec_dict()), theta, other, x)
+            for name in want:
+                assert np.array_equal(got[name], want[name]), (fam.structure, i, name)
+            assert len(fam._memo) <= fmod._MEMO_SIZE
+
+
+def test_factorization_memo_is_keyed_by_bytes_and_read_only():
+    fam = GaussianFamily(3, structure="full")
+    rng = np.random.default_rng(89)
+    theta, other = random_theta(fam, rng), random_theta(fam, rng)
+    x = rng.standard_normal((4, 3))
+    before = _method_outputs(fam, theta, other, x)
+    # the same array changed in place is a new parameter
+    theta[:3] += 0.25
+    theta[3] *= 1.5
+    got = _method_outputs(fam, theta, other, x)
+    want = _method_outputs(GaussianFamily(3, structure="full"), theta, other, x)
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+    assert not np.array_equal(got["mean"], before["mean"])
+    # cached arrays refuse writes, so no caller can change what later calls read
+    factored = fam._factor(theta)
+    moments = fam.moments_from_natural(theta)
+    for array in (moments.mean, moments.cov, factored.factor[0], factored.b, factored.cov_factor):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    np.testing.assert_array_equal(fam.moments_from_natural(theta).mean, got["mean"])
+
+
+def test_factorization_memo_keeps_no_failure():
+    fam = GaussianFamily(2, structure="full")
+    good = fam.natural_from_moments([0.0, 0.0], np.eye(2))
+    not_pd = good.copy()
+    not_pd[3] = 5.0
+    not_finite = good.copy()
+    not_finite[0] = np.nan
+    fam.log_partition(good)
+    for bad in (not_pd, not_finite):
+        for _ in range(2):
+            for call in (
+                fam.moments_from_natural,
+                fam.log_partition,
+                fam.mean_suff_stat,
+                fam.fisher_info,
+                fam._fisher_diag,
+                lambda th: fam.log_density(th, np.zeros((1, 2))),
+                lambda th: fam.kl(th, good),
+                lambda th: fam.kl(good, th),
+                lambda th: fam.sample(th, 3, seed=0),
+            ):
+                with pytest.raises(DomainError):
+                    call(bad)
+            assert not fam.in_domain(bad)
+            assert list(fam._memo) == [good.tobytes()]

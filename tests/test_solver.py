@@ -446,6 +446,63 @@ def test_solver_trace_recording_does_not_affect_iterates():
     both(theta, stack, 33, query_schedule=(20, 0, 20, 0), max_steps=4)
 
 
+@pytest.mark.parametrize("weighting", ["importance", "voronoi"])
+def test_solves_factor_each_parameter_once_and_match_solves_without_the_memo(
+    monkeypatch, tmp_path, weighting
+):
+    # The family keeps the factorization of the last few parameters.  Traced
+    # solves, cold and then warm on the same ledger, must give the same bytes
+    # with the memo bypassed, and factor each parameter they visit once.
+    from pacbayes import families as fmod
+
+    rng = np.random.default_rng(12)
+    risk = TanhSyntheticRisk(
+        omega=2.0, a_matrix=np.eye(4) + 0.2 * rng.standard_normal((4, 4)), x0=rng.standard_normal(4)
+    )
+    cfg = small_config(
+        lam=0.05,
+        kl_max=0.5,
+        alpha_max=0.5,
+        n_initial_queries=40,
+        n_queries_per_step=12,
+        n_mc_weights=2000,
+        max_steps=16,
+        convergence_kl_tol=0.0,
+        weighting=weighting,
+    )
+    cho_factor = fmod.cho_factor
+
+    def solves(memo_size):
+        monkeypatch.setattr(fmod, "_MEMO_SIZE", memo_size)
+        fam = GaussianFamily(4, structure="full")
+        theta_p = standard_normal_params(fam)
+        factorizations = []
+
+        def counted_cho_factor(*args, **kwargs):
+            factorizations.append(None)
+            return cho_factor(*args, **kwargs)
+
+        monkeypatch.setattr(fmod, "cho_factor", counted_cho_factor)
+        runs, theta0, stack = [], theta_p, None
+        for seed in (5, 6):
+            factorizations.clear()
+            theta, trace, stack = run_supac_ce(risk, fam, theta_p, theta0, cfg, seed=seed, stack=stack)
+            path = tmp_path / f"trace-{memo_size}-{seed}.csv"
+            trace.to_csv(path)
+            distinct = {th.tobytes() for th in (theta_p, theta0, *trace.thetas)}
+            outputs = (theta, stack.points, stack.values, stack.steps, path.read_bytes())
+            runs.append((outputs, len(factorizations), len(distinct)))
+            theta0 = theta
+        return runs
+
+    with_memo, bypassed = solves(fmod._MEMO_SIZE), solves(0)
+    for (outputs, factorizations, distinct), (reference, unmemoised, _) in zip(with_memo, bypassed):
+        for got, want in zip(outputs, reference):
+            assert np.array_equal(got, want) if isinstance(got, np.ndarray) else got == want
+        assert factorizations <= distinct + 2
+        assert unmemoised > 3 * distinct
+
+
 def test_solver_holds_suff_stats_only_while_it_runs():
     fam = GaussianFamily(2)
     theta_p = standard_normal_params(fam)

@@ -148,6 +148,55 @@ def test_voronoi_search_extended_by_appended_rows_matches_a_fresh_search(monkeyp
                 np.testing.assert_array_equal(w, before)
 
 
+def _own_key_copies(points):
+    """Copy mask from one dictionary of row bytes over the whole ledger."""
+    keys = (points + 0.0).view(f"V{points.itemsize * points.shape[1]}").ravel().tolist()
+    first = {}
+    return np.array([first.setdefault(key, i) != i for i, key in enumerate(keys)], dtype=bool)
+
+
+def test_ledger_copy_mask_matches_a_search_that_keys_its_own_rows(monkeypatch):
+    # The ledger extends its exact-copy mask by appended rows only; every
+    # search reads it.  Mask and weights must match those of a search that
+    # keys every ledger row itself, in one dictionary of row bytes.
+    from pacbayes import weighting as wmod
+
+    fam = GaussianFamily(3, structure="full")
+    rng = np.random.default_rng(97)
+    theta = random_theta(fam, rng, mean_scale=0.3)
+    old = rng.standard_normal((200, 3))
+    old[5, 1] = 0.0
+    old[9] = old[2]
+    old[11, 0] = -0.0
+    negative_zero = old[5].copy()
+    negative_zero[1] = -0.0
+    positive_zero = old[11].copy()
+    positive_zero[0] = 0.0
+    fresh_rows = rng.standard_normal((20, 3))
+    batches = {
+        "appended rows": np.vstack([fresh_rows, old[[3, 7]], fresh_rows[[4]]]),
+        "copies alone": old[[0, 4, 4, 9]],
+        "-0.0 copies": np.vstack([negative_zero, positive_zero, rng.standard_normal((2, 3))]),
+    }
+    n_mc, seed = 4000, 17
+    stack = stack_from_points(old)
+    search = wmod._NearestPoints(fam, theta, n_mc, seed)
+    search.weights(stack)
+    for step, (case, new) in enumerate(batches.items(), start=1):
+        stack.record(new, np.zeros(len(new)), step)
+        np.testing.assert_array_equal(stack._copies(), _own_key_copies(stack.points), err_msg=case)
+        np.testing.assert_array_equal(
+            stack_from_points(stack.points)._copies(), stack._copies(), err_msg=case
+        )
+        w = search.weights(stack)
+        with monkeypatch.context() as patch:
+            patch.setattr(EvalStack, "_copies", lambda ledger: _own_key_copies(ledger.points))
+            own_keys = voronoi_weights(stack, fam, theta, n_mc=n_mc, seed=seed)
+        np.testing.assert_array_equal(w, own_keys, err_msg=case)
+    # 9, then 3, 7 and the repeated new row, then 0, 4, 4, 9, then both zero spellings
+    assert stack._copies().sum() == 1 + 3 + 4 + 2
+
+
 def test_voronoi_near_ties_match_a_float64_cdist_assignment():
     # every point has a neighbour about 3e-5 away, inside the float32
     # screen's rounding bound for many draws: those draws must be settled in
