@@ -15,7 +15,6 @@ from numbers import Integral
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import ndtr
 
 # Gram condition number beyond which a ridge is added before solving.
 GRAM_CONDITION_LIMIT = 1e12
@@ -52,17 +51,30 @@ class _NearestPoints:
     """Nearest ledger row of each of ``n_mc`` draws from pi_theta.
 
     Rows are compared in the Mahalanobis metric of pi_theta, in which the
-    draws are standard normals.  Each draw keeps its best row index and
-    float64 score, so ``weights`` on a ledger that has grown since the last
-    call scores only the appended rows.  A float32 product screens every
-    (draw, row) pair; a draw whose two best float32 scores lie within their
-    rounding bound of each other is scored again in float64, so the result is
-    the float64 nearest row.  Ties keep the lowest index, and a draw moves to
-    a later row only when its score is strictly lower.  An exact copy of an
-    earlier row (as the ledger marks it) is not scored and never takes a
-    draw: BLAS may round one score differently in products of different
-    shapes, and the copy would win wherever its rounding came out lower.
-    The mean and covariance factor come from the family's memo of ``theta``.
+    draws are standard normals.  Each draw keeps its best row index, so
+    ``weights`` on a ledger that has grown since the last call scores only
+    the appended rows.  The search does only the work that can change an
+    assignment, and each rule is exact:
+
+    * Reach.  A row whose whitened norm exceeds (2 max ||z|| + ||x0||)
+      (1 + 1e-6), where x0 is the least-norm row scored so far, is farther
+      from every draw than x0 and is not scored.
+    * Screen.  The first batch is scored draw by draw in one float32
+      product; a draw whose two best float32 scores lie within their
+      rounding bound of each other is scored again in float64, so the result
+      is the float64 nearest row.
+    * Growth.  A later batch is reduced to each draw's least float32 score;
+      only the draws whose current float64 score that bound cannot rule out
+      beating are scored in float64 and merged.
+    * On demand.  Each draw's float64 score for its row is computed when
+      the search first grows, so a search that never grows never pays for it.
+
+    Ties keep the lowest index, and a draw moves to a later row only when
+    its score is strictly lower.  An exact copy of an earlier row (as the
+    ledger marks it) is not scored and never takes a draw: BLAS may round
+    one score differently in products of different shapes, and the copy
+    would win wherever its rounding came out lower.  The mean and covariance
+    factor come from the family's memo of ``theta``.
     """
 
     def __init__(self, family, theta, n_mc, seed):
@@ -80,8 +92,15 @@ class _NearestPoints:
         # [z, 1] in float32: one product with [-2 x; ||x||^2] scores a block.
         self._draws32 = np.ones((n_mc, k + 1), dtype=np.float32)
         self._draws32[:, :k] = self._draws
+        # ||x - z|| >= ||x|| - ||z|| > ||z|| + ||x0|| >= ||x0 - z|| for any row
+        # x beyond reach; the 1e-6 margin dwarfs the float64 scores' rounding.
+        self._reach = 2.0 * self._norms.max()
+        self._least = np.inf
         self._best = np.zeros(n_mc, dtype=np.int64)
-        self._score = np.full(n_mc, np.inf)
+        # Each draw's float64 score for its row, or None until the search
+        # first grows; till then the first batch's (-2 x, ||x||^2, winner).
+        self._score = None
+        self._first = None
         self._n_rows = 0
 
     def weights(self, stack):
@@ -96,20 +115,17 @@ class _NearestPoints:
     def _add_rows(self, points, is_copy):
         start = self._n_rows
         self._n_rows += len(points)
-        cols = np.flatnonzero(~is_copy)
-        if cols.size == 0:
-            return
         xw = solve_triangular(self._chol, (points - self._mean).T, lower=True).T
         # ||x - z||^2 = ||x||^2 - 2 x.z + ||z||^2; the last term is constant
         # per draw and cannot change the argmin over stored points.
-        xn2 = np.sum(xw * xw, axis=1)[cols]
+        xn2 = np.sum(xw * xw, axis=1)
+        norms = np.sqrt(xn2)
+        self._least = min(self._least, np.min(norms, where=~is_copy, initial=np.inf))
+        cols = np.flatnonzero(~is_copy & (norms <= (self._reach + self._least) * (1.0 + 1e-6)))
+        if cols.size == 0:
+            return
+        xn2 = xn2[cols]
         neg2_xw = -2.0 * xw[cols]
-        neg2_xw_t = neg2_xw.T
-        n_mc, k = self._draws.shape
-        m = cols.size
-        arg = np.empty(n_mc, dtype=np.int64)
-        gap = np.zeros(n_mc, dtype=np.float32)
-        chunk = max(1, _CHUNK_BUDGET // m)
         # The float32 screen's rounding bound.  With u = 2^-24, a score is the
         # (k+1)-term dot product [z, 1] . [-2x, ||x||^2].  Rounding z, -2x and
         # ||x||^2 to float32 moves each term t by at most (2u + u^2)|t|, and
@@ -119,18 +135,37 @@ class _NearestPoints:
         # xmax is the largest whitened norm among the batch's scored rows.  So
         # each float32 score lies within e(z) = (k + 3) u (2 ||z|| xmax +
         # xmax^2) of its exact value, to first order; one more u covers the
-        # second-order terms and the float64 scores' own rounding.  If the
-        # float32 winner is not the nearest row, the nearest row's float32
-        # score is at most 2 e(z) above the winner's, so only draws whose two
-        # best float32 scores lie that close need float64.  With
+        # second-order terms and the float64 scores' own rounding.  With
         # 2^-40 <= xmax <= 2^40 nothing overflows and underflow's absolute
-        # errors stay far below e(z); outside that range, gap stays 0 and
-        # every draw is scored in float64.
+        # errors stay far below e(z); outside that range there is no float32
+        # screen (aug is None) and every draw is scored in float64.
+        k = self._draws.shape[1]
         xmax = np.sqrt(xn2.max())
+        e = (k + 4) * 2.0**-24 * (2.0 * xmax * self._norms + xmax * xmax)
+        aug = None
         if 2.0**-40 <= xmax <= 2.0**40:
-            aug = np.empty((k + 1, m), dtype=np.float32)
-            aug[:k] = neg2_xw_t
+            aug = np.empty((k + 1, cols.size), dtype=np.float32)
+            aug[:k] = neg2_xw.T
             aug[k] = xn2
+        if self._first is None and self._score is None:
+            arg = self._nearest(aug, neg2_xw, xn2, e)
+            self._best = cols[arg] + start
+            self._first = neg2_xw, xn2, arg
+        else:
+            self._merge(aug, neg2_xw, xn2, e, cols + start)
+
+    def _nearest(self, aug, neg2_xw, xn2, e):
+        """Index among the batch's rows of each draw's nearest row.
+
+        If the float32 winner is not the nearest row, the nearest row's
+        float32 score is at most 2 e(z) above the winner's, so only draws
+        whose two best float32 scores lie that close are scored in float64.
+        """
+        n_mc, m = len(self._draws), len(xn2)
+        chunk = max(1, _CHUNK_BUDGET // m)
+        arg = np.empty(n_mc, dtype=np.int64)
+        gap = np.zeros(n_mc, dtype=np.float32)
+        if aug is not None:
             block = np.empty((min(chunk, n_mc), m), dtype=np.float32)
             row_starts = np.arange(0, block.size, m)
             for lo in range(0, n_mc, chunk):
@@ -143,17 +178,57 @@ class _NearestPoints:
                 flat[winners] = np.inf
                 # A lone row leaves the runner-up at inf: an infinite gap.
                 gap[lo:hi] = scores.min(axis=1) - m1
-        e = (k + 4) * 2.0**-24 * (2.0 * xmax * self._norms + xmax * xmax)
         ambiguous = np.flatnonzero(gap <= 2.0 * e)
         for lo in range(0, ambiguous.size, chunk):
             draws = ambiguous[lo : lo + chunk]
-            scores = self._draws[draws] @ neg2_xw_t
-            scores += xn2
-            arg[draws] = np.argmin(scores, axis=1)
-        score = np.einsum("ij,ij->i", self._draws, neg2_xw.take(arg, axis=0)) + xn2.take(arg)
-        better = score < self._score
-        self._best[better] = cols[arg[better]] + start
-        self._score[better] = score[better]
+            arg[draws] = self._settle(draws, neg2_xw, xn2)
+        return arg
+
+    def _merge(self, aug, neg2_xw, xn2, e, rows):
+        """Move each draw that a row of a later batch beats to that row.
+
+        The batch's least float32 score lies within e(z) of its least exact
+        score, and any row's float64 score within e(z) of its exact one, so a
+        draw whose least float32 score is more than 2 e(z) above its current
+        score keeps its row; only the others are scored in float64.
+        """
+        n_mc, m = len(self._draws), len(xn2)
+        chunk = max(1, _CHUNK_BUDGET // m)
+        score = self._scores()
+        if aug is None:
+            contested = np.arange(n_mc)
+        else:
+            least = np.empty(n_mc, dtype=np.float32)
+            # Blocks with one line per batch row: the minimum over rows runs
+            # along the leading axis, vectorized across draws.
+            block = np.empty((m, min(chunk, n_mc)), dtype=np.float32)
+            for lo in range(0, n_mc, chunk):
+                hi = min(lo + chunk, n_mc)
+                scores = np.matmul(aug.T, self._draws32[lo:hi].T, out=block[:, : hi - lo])
+                np.minimum.reduce(scores, axis=0, out=least[lo:hi])
+            contested = np.flatnonzero(least - 2.0 * e <= score)
+        for lo in range(0, contested.size, chunk):
+            draws = contested[lo : lo + chunk]
+            arg = self._settle(draws, neg2_xw, xn2)
+            new = np.einsum("ij,ij->i", self._draws[draws], neg2_xw[arg]) + xn2[arg]
+            better = new < score[draws]
+            moved = draws[better]
+            self._best[moved] = rows[arg[better]]
+            score[moved] = new[better]
+
+    def _settle(self, draws, neg2_xw, xn2):
+        """Float64 nearest row among the batch's rows of each of ``draws``."""
+        scores = self._draws[draws] @ neg2_xw.T
+        scores += xn2
+        return np.argmin(scores, axis=1)
+
+    def _scores(self):
+        """Each draw's float64 score for its row, computed on first use."""
+        if self._score is None:
+            neg2_xw, xn2, arg = self._first
+            self._score = np.einsum("ij,ij->i", self._draws, neg2_xw[arg]) + xn2[arg]
+            self._first = None
+        return self._score
 
 
 def voronoi_weights(stack, family, theta, n_mc=40_000, seed=0):
@@ -162,7 +237,9 @@ def voronoi_weights(stack, family, theta, n_mc=40_000, seed=0):
     Draws ``n_mc`` samples from pi_theta, assigns each to its nearest stored
     point in the Mahalanobis metric of pi_theta, and returns the normalized
     assignment counts.  ``n_mc`` must be a positive integer (not a bool).
-    The search screens every pair in float32 and settles each draw whose two
+    A point whose whitened norm exceeds twice the longest draw's plus the
+    least point norm cannot be any draw's nearest and is not scored.  The
+    search screens every other pair in float32 and settles each draw whose two
     nearest points the screen cannot tell apart in float64, so the
     assignment is the float64 one.  Ties break toward the lowest index, and
     an exact duplicate of an earlier point gets no mass, so the result is
@@ -183,6 +260,9 @@ def exact_voronoi_weights_1d(stack, family, theta):
     points; masses are normal CDF differences.  Exact duplicates receive the
     cell mass on their first occurrence and zero afterwards.
     """
+    # Imported here, its only use: scipy.special takes about 60 ms to load.
+    from scipy.special import ndtr
+
     if family.predictor_dim != 1:
         raise ValueError("exact cell masses require a one-dimensional family")
     if len(stack) == 0:
@@ -267,7 +347,10 @@ def project(stack, weights, family, theta):
     z /= scale
     gram = z.T @ (wn[:, None] * z)
     rhs = z.T @ (wn * (y - y_bar))
-    gram_condition = float(np.linalg.cond(gram))
+    # The Gram matrix is symmetric positive semi-definite: its condition
+    # number is the ratio of its extreme eigenvalues, with no SVD.
+    eig = np.abs(np.linalg.eigvalsh(gram))
+    gram_condition = float(eig.max()) / float(eig.min()) if eig.min() > 0 else np.inf
     if not np.isfinite(gram_condition) or gram_condition > GRAM_CONDITION_LIMIT:
         ridge = _RIDGE_SCALE * np.trace(gram) / family.dim
         gram = gram + ridge * np.eye(family.dim)

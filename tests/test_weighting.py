@@ -197,6 +197,11 @@ def test_ledger_copy_mask_matches_a_search_that_keys_its_own_rows(monkeypatch):
     assert stack._copies().sum() == 1 + 3 + 4 + 2
 
 
+def _philox_draws(n_mc, k, seed):
+    """The standard normal draws a search with ``seed`` takes."""
+    return np.random.Generator(np.random.Philox(seed)).standard_normal((n_mc, k))
+
+
 def test_voronoi_near_ties_match_a_float64_cdist_assignment():
     # every point has a neighbour about 3e-5 away, inside the float32
     # screen's rounding bound for many draws: those draws must be settled in
@@ -213,19 +218,21 @@ def test_voronoi_near_ties_match_a_float64_cdist_assignment():
     chol = np.linalg.cholesky(cov)
     base = mean + rng.standard_normal((150, 8)) @ chol.T
     ties = np.vstack([base, base + 1e-5 * rng.standard_normal((150, 8))])
-    # a row at whitened norm 2e3 widens the bound past every draw's gap, so
-    # every draw is scored in float64; at 1e25 float32 would overflow, and
-    # the screen is skipped
-    far = {norm: mean + chol @ np.r_[norm, np.zeros(7)] for norm in (2e3, 1e25)}
+    # Near ties 1e-3 apart, 500 from the mean along an axis they have no
+    # spread in: every row is within reach, and the bound exceeds every
+    # draw's gap, so every draw is scored in float64 (a plain float32 argmin
+    # moves 8563 of them here).
+    spread = rng.standard_normal((150, 8))
+    twins = np.vstack([spread, spread + 1e-3 * rng.standard_normal((150, 8))])
+    twins[:, 0] = 500.0
     n_mc, seed = 20_000, 29
-    z = np.random.Generator(np.random.Philox(seed)).standard_normal((n_mc, 8))
+    z = _philox_draws(n_mc, 8, seed)
 
     def cdist_weights(points):
         xw = np.linalg.solve(chol, (points - mean).T).T
         return np.bincount(np.argmin(cdist(z, xw), axis=1), minlength=len(points)) / n_mc
 
-    cases = {"near ties": ties}
-    cases.update({f"and a row at norm {norm:g}": np.vstack([ties, x]) for norm, x in far.items()})
+    cases = {"near ties": ties, "near ties 500 from the mean": mean + twins @ chol.T}
     for case, points in cases.items():
         w = voronoi_weights(stack_from_points(points), fam, theta, n_mc=n_mc, seed=seed)
         np.testing.assert_array_equal(w, cdist_weights(points), err_msg=case)
@@ -236,6 +243,166 @@ def test_voronoi_near_ties_match_a_float64_cdist_assignment():
     stack.record(ties[[4, 160, 4]], np.zeros(3), step=1)
     w = search.weights(stack)
     np.testing.assert_array_equal(w, np.concatenate([before, np.zeros(3)]))
+
+
+def test_voronoi_rows_too_near_the_mean_for_float32_are_scored_in_float64():
+    # Rows within 1e-42 of the mean: below 2^-40 the float32 screen is
+    # skipped, and here it would move 114 draws, since -2x is subnormal in
+    # float32.  cdist cannot resolve rows this close to each other against
+    # draws of norm about 3, so the reference is the float64 argmin of
+    # ||x||^2 - 2 x.z, which float64 holds without underflow.
+    fam = GaussianFamily(8, structure="full")
+    rng = np.random.default_rng(53)
+    cov = random_spd(rng, 8)
+    theta = fam.natural_from_moments(np.zeros(8), cov)
+    chol = np.linalg.cholesky(cov)
+    points = 1e-43 * rng.standard_normal((60, 8)) @ chol.T
+    n_mc, seed = 20_000, 29
+    z = _philox_draws(n_mc, 8, seed)
+    xw = np.linalg.solve(chol, points.T).T
+    assert np.sqrt(np.sum(xw * xw, axis=1).max()) < 2.0**-40
+    nearest = np.argmin(np.sum(xw * xw, axis=1) - 2.0 * np.einsum("ik,jk->ij", z, xw), axis=1)
+    w = voronoi_weights(stack_from_points(points), fam, theta, n_mc=n_mc, seed=seed)
+    np.testing.assert_array_equal(w, np.bincount(nearest, minlength=60) / n_mc)
+
+
+def test_voronoi_skips_only_rows_that_no_draw_can_reach():
+    # A row whose whitened norm exceeds (2 max||z|| + ||x0||)(1 + 1e-6), x0
+    # the least-norm row, is farther from every draw than x0: it gets no
+    # mass.  A row just inside that reach can still take a draw.
+    from scipy.spatial.distance import cdist
+
+    fam = GaussianFamily(8, structure="full")
+    rng = np.random.default_rng(61)
+    mean = 0.3 * rng.standard_normal(8)
+    cov = random_spd(rng, 8)
+    theta = fam.natural_from_moments(mean, cov)
+    chol = np.linalg.cholesky(cov)
+    n_mc, seed = 20_000, 37
+    z = _philox_draws(n_mc, 8, seed)
+    norms = np.linalg.norm(z, axis=1)
+    top = z[np.argmax(norms)] / norms.max()
+    reach = 2.0 * norms.max() + 1.5
+    directions = rng.standard_normal((2, 8))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    cases = {
+        # a cloud about the mean, and rows at 1e3 and 1e25
+        "far rows": np.vstack(
+            [rng.standard_normal((150, 8)), np.array([[1e3], [1e25]]) * directions]
+        ),
+        # x0 1.5 behind the mean, opposite the longest draw; along that draw,
+        # one row just inside the reach, which takes it, and one just beyond
+        "edge of reach": np.vstack(
+            [-1.5 * top, (1 - 1e-7) * reach * top, (1 + 2e-6) * reach * top]
+        ),
+    }
+    for case, whitened in cases.items():
+        points = mean + whitened @ chol.T
+        xw = np.linalg.solve(chol, (points - mean).T).T
+        expected = np.bincount(np.argmin(cdist(z, xw), axis=1), minlength=len(points)) / n_mc
+        w = voronoi_weights(stack_from_points(points), fam, theta, n_mc=n_mc, seed=seed)
+        np.testing.assert_array_equal(w, expected, err_msg=case)
+        assert np.all(w[-2:] == 0.0) if case == "far rows" else (w[1] > 0.0 and w[2] == 0.0)
+
+
+def _grown_and_fresh(fam, theta, old, batches, n_mc, seed):
+    """Weights of one search grown by ``batches``, and of fresh searches, per batch."""
+    from pacbayes import weighting as wmod
+
+    stack = stack_from_points(old)
+    search = wmod._NearestPoints(fam, theta, n_mc, seed)
+    search.weights(stack)
+    # a first batch's scores are computed only when the search grows
+    assert search._score is None
+    pairs = []
+    for step, batch in enumerate(batches, start=1):
+        stack.record(batch, np.zeros(len(batch)), step)
+        pairs.append(
+            (search.weights(stack), voronoi_weights(stack, fam, theta, n_mc=n_mc, seed=seed))
+        )
+    # a batch with rows in reach needed them
+    assert search._score is not None
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "kind", ["copies", "near copies", "most draws", "beyond reach", "below 2^-40"]
+)
+def test_grown_search_matches_a_fresh_search(monkeypatch, kind):
+    # A batch scored against a carried search settles in float64 only the
+    # draws its least float32 score leaves able to move; the result must be
+    # that of a fresh search over the whole ledger, bit for bit.  The search
+    # then grows a second time.
+    from pacbayes import weighting as wmod
+
+    fam = GaussianFamily(4, structure="full")
+    rng = np.random.default_rng(101)
+    mean = 0.3 * rng.standard_normal(4)
+    cov = random_spd(rng, 4)
+    theta = fam.natural_from_moments(mean, cov)
+    chol = np.linalg.cholesky(cov)
+    old = mean + 1.5 * rng.standard_normal((300, 4)) @ chol.T
+    fresh_rows = mean + rng.standard_normal((6, 4)) @ chol.T
+    directions = rng.standard_normal((3, 4))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    batch = {
+        "copies": np.vstack([old[5], fresh_rows[:3], old[5], fresh_rows[1], old[200]]),
+        # each within float32 rounding of an old row, and as often nearer
+        "near copies": old[:30] + 1e-7 * rng.standard_normal((30, 4)),
+        "most draws": mean + 0.8 * rng.standard_normal((200, 4)) @ chol.T,
+        "beyond reach": mean + (np.array([1e3, 1e8, 1e25])[:, None] * directions) @ chol.T,
+        "below 2^-40": mean + 1e-14 * rng.standard_normal((10, 4)) @ chol.T,
+    }[kind]
+    second = mean + rng.standard_normal((20, 4)) @ chol.T
+    n_mc, seed = 10_000, 41
+    for budget in (wmod._CHUNK_BUDGET, 1):
+        monkeypatch.setattr(wmod, "_CHUNK_BUDGET", budget)
+        pairs = _grown_and_fresh(fam, theta, old, [batch, second], n_mc, seed)
+        for grown, fresh in pairs:
+            np.testing.assert_array_equal(grown, fresh, err_msg=f"{kind}, budget {budget}")
+        new = pairs[0][0][len(old) :]
+        if kind == "copies":
+            assert np.all(new[[0, 4, 5, 6]] == 0.0) and new[1:4].sum() > 0.0
+        elif kind == "near copies":
+            assert new.sum() > 0.0
+        elif kind == "most draws":
+            assert new.sum() > 0.5
+        elif kind == "beyond reach":
+            assert np.all(new == 0.0)
+        else:
+            xw = np.linalg.solve(chol, (batch - mean).T).T
+            assert np.sqrt(np.sum(xw * xw, axis=1).max()) < 2.0**-40 and new.sum() > 0.0
+
+
+def test_grown_search_leaves_an_exact_old_new_tie_to_the_old_row(monkeypatch):
+    # Under an identity covariance, a point that differs from an old one
+    # only by 1e-20 in a coordinate where the mean is 0.75 whitens to the
+    # same row, so it ties that row exactly on every draw.  With one nonzero
+    # whitened coordinate, every product rounds those scores alike.  The old
+    # row keeps every draw, as in a fresh search, where ties go to the lowest
+    # index.
+    from pacbayes import weighting as wmod
+
+    fam = GaussianFamily(4, structure="full")
+    rng = np.random.default_rng(103)
+    mean = np.array([0.75, -0.5, 1.25, 0.375])
+    theta = fam.natural_from_moments(mean, np.eye(4))
+    factored = fam._factor(theta)
+    assert np.array_equal(factored.cov_factor, np.eye(4)) and np.array_equal(factored.mean, mean)
+    axis_rows = np.tile(mean, (4, 1))
+    np.fill_diagonal(axis_rows, 0.0)
+    ties = axis_rows.copy()
+    np.fill_diagonal(ties, 1e-20)
+    assert np.array_equal(ties - mean, axis_rows - mean)
+    assert np.all(np.any(ties != axis_rows, axis=1))
+    old = np.vstack([mean + rng.standard_normal((100, 4)), axis_rows])
+    batch = np.vstack([ties, mean + rng.standard_normal((5, 4))])
+    n_mc, seed = 10_000, 43
+    for budget in (wmod._CHUNK_BUDGET, 1):
+        monkeypatch.setattr(wmod, "_CHUNK_BUDGET", budget)
+        [(grown, fresh)] = _grown_and_fresh(fam, theta, old, [batch], n_mc, seed)
+        np.testing.assert_array_equal(grown, fresh, err_msg=f"budget {budget}")
+        assert np.all(grown[100:104] > 0.0) and np.all(grown[104:108] == 0.0)
 
 
 @pytest.mark.parametrize("n_mc", [2.5, 100.0, True, np.True_, "100", 0])
