@@ -22,6 +22,7 @@ from .solver import (
     SolverTrace,
     TraceRecord,
     _require_integers,
+    _require_reals,
     catoni_bound,
     catoni_objective,
 )
@@ -56,6 +57,7 @@ class GDConfig:
 
     def __post_init__(self):
         _require_integers(self, "per_step", "max_queries", "diag_samples")
+        _require_reals(self, "step_size", "momentum")
         if not self.step_size > 0:
             raise ValueError("step_size must be positive")
         if not 0 <= self.momentum < 1:

@@ -396,19 +396,7 @@ class GaussianFamily:
         return record.mean + z @ chol.T
 
     # ------------------------------------------------------------------
-    # serialization
-
-    def spec_dict(self):
-        """JSON-ready description of the family layout."""
-        blocks = [list(b) for b in self.blocks] if self.structure == "block" else None
-        return {
-            "structure": self.structure,
-            "predictor_dim": self.predictor_dim,
-            "blocks": blocks,
-        }
-
-    def to_json(self):
-        return json.dumps(self.spec_dict())
+    # construction from a config
 
     @classmethod
     def from_dict(cls, data):
@@ -417,10 +405,6 @@ class GaussianFamily:
             structure=data.get("structure", "full"),
             blocks=data.get("blocks"),
         )
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
 
 
 def params_to_json(theta):

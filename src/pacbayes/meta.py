@@ -28,6 +28,7 @@ from .solver import (
     CatoniConfig,
     RecordTable,
     _require_integers,
+    _require_reals,
     catoni_objective,
     damped_update,
     run_supac_ce,
@@ -205,6 +206,7 @@ class MetaConfig:
 
     def __post_init__(self):
         _require_integers(self, "epochs", "batch_size", "n_eval")
+        _require_reals(self, "meta_step_size", "meta_kl_max")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.inner_warm is None:

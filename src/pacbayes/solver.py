@@ -31,11 +31,9 @@ from .weighting import (
     exact_voronoi_weights_1d,
     importance_weights,
     project,
-    uniform_weights,
-    voronoi_weights,
 )
 
-_WEIGHTINGS = ("voronoi", "exact1d", "uniform", "importance")
+_WEIGHTINGS = ("voronoi", "exact1d", "importance")
 # Bracket width at which damped_update's bisection stops, and its halving cap.
 _BISECTION_TOL = 1e-9
 _BISECTION_MAX_ITER = 200
@@ -93,8 +91,7 @@ class CatoniConfig:
     convergence_kl_tol : float
         Stop once the realized KL step falls below this.
     weighting : str
-        One of "voronoi", "exact1d", "uniform", "importance".  "uniform"
-        averages each step's own batch, so it needs draws at every step.
+        One of "voronoi", "exact1d", "importance".
     record_trace : bool
         Disable to skip the per-step reporting pass (the trace stays empty).
     """
@@ -148,14 +145,6 @@ class CatoniConfig:
             raise ValueError("convergence_kl_tol must be nonnegative")
         if self.weighting not in _WEIGHTINGS:
             raise ValueError(f"weighting must be one of {_WEIGHTINGS}")
-        # Uniform weights average the current step's batch, so every step that
-        # runs must draw.  The schedule repeats its last entry, so its first
-        # len(schedule) steps hold every draw count.
-        distinct_steps = 2 if self.query_schedule is None else len(self.query_schedule)
-        if self.weighting == "uniform" and any(
-            self.queries_at(step) == 0 for step in range(min(self.max_steps, distinct_steps))
-        ):
-            raise ValueError("uniform weighting needs fresh draws at every step")
 
     def queries_at(self, step):
         """Draw count for a given solver step."""
@@ -365,14 +354,17 @@ class SolverTrace(RecordTable):
         return [r.theta for r in self.records]
 
 
-def _weights_for(config, stack, family, theta, seed, current_step):
+def _weights_for(config, family, theta, seed):
+    """Weigher ``weigh(stack)`` of ``config.weighting`` at ``theta``.
+
+    A Voronoi weigher keeps its search, so a later call on the grown ledger
+    scores only the rows appended since.
+    """
     if config.weighting == "voronoi":
-        return voronoi_weights(stack, family, theta, n_mc=config.n_mc_weights, seed=seed)
+        return _NearestPoints(family, theta, config.n_mc_weights, seed).weights
     if config.weighting == "exact1d":
-        return exact_voronoi_weights_1d(stack, family, theta)
-    if config.weighting == "uniform":
-        return uniform_weights(stack, step=current_step)
-    return importance_weights(stack, family, theta, stack.generation_params)
+        return lambda stack: exact_voronoi_weights_1d(stack, family, theta)
+    return lambda stack: importance_weights(stack, family, theta, stack.generation_params)
 
 
 def run_supac_ce(risk, family, theta_p, theta0, config, seed, stack=None):
@@ -412,8 +404,8 @@ def run_supac_ce(risk, family, theta_p, theta0, config, seed, stack=None):
         raise ValueError("stack predictor dimension does not match the family")
     step_offset = stack.next_step()
     trace = SolverTrace()
-    # The reporting pass's Voronoi search, carried into the next step.
-    nearest = None
+    # The reporting pass's weigher at the next iterate, carried into the next step.
+    weigh = None
 
     # T(x) of each ledger row is evaluated once for this solve, then dropped.
     rows = len(stack) + sum(config.queries_at(step) for step in range(config.max_steps))
@@ -428,18 +420,10 @@ def run_supac_ce(risk, family, theta_p, theta0, config, seed, stack=None):
                 raise ValueError(
                     "no evaluations available; set n_initial_queries > 0 or pass a warm stack"
                 )
-            if nearest is not None:
-                # Free the carried search before the report builds the next one.
-                weights, nearest = nearest.weights(stack), None
-            else:
-                weights = _weights_for(
-                    config,
-                    stack,
-                    family,
-                    theta,
-                    child_seed(seed, step, ROLE_WEIGHTS),
-                    step_offset + step,
-                )
+            if weigh is None:
+                weigh = _weights_for(config, family, theta, child_seed(seed, step, ROLE_WEIGHTS))
+            # Free the weigher before the report builds the next one.
+            weights, weigh = weigh(stack), None
             fit = project(stack, weights, family, theta)
             if step == 0 and not (
                 np.isfinite(fit.gram_condition) and fit.gram_condition <= GRAM_CONDITION_LIMIT
@@ -456,16 +440,11 @@ def run_supac_ce(risk, family, theta_p, theta0, config, seed, stack=None):
             step_kl = family.kl(theta_next, theta)
             if config.record_trace:
                 # The report at theta_next draws from the next step's weight
-                # stream, so a Voronoi step after it scores only its new batch.
-                report_seed = child_seed(seed, step + 1, ROLE_WEIGHTS)
-                if config.weighting == "voronoi":
-                    nearest = _NearestPoints(family, theta_next, config.n_mc_weights, report_seed)
-                    report_weights = nearest.weights(stack)
-                else:
-                    report_weights = _weights_for(
-                        config, stack, family, theta_next, report_seed, step_offset + step
-                    )
-                mean_risk = estimate_mean_risk(stack, report_weights)
+                # stream, so the next step reuses its weigher.
+                weigh = _weights_for(
+                    config, family, theta_next, child_seed(seed, step + 1, ROLE_WEIGHTS)
+                )
+                mean_risk = estimate_mean_risk(stack, weigh(stack))
                 kl_prior = family.kl(theta_next, theta_p)
                 trace.append(
                     TraceRecord(

@@ -283,19 +283,6 @@ def exact_voronoi_weights_1d(stack, family, theta):
     return weights
 
 
-def uniform_weights(stack, step=None):
-    """Equal weights over the whole ledger, or over one step's batch."""
-    if len(stack) == 0:
-        raise ValueError("evaluation stack is empty")
-    if step is None:
-        return np.full(len(stack), 1.0 / len(stack))
-    mask = stack.steps == int(step)
-    total = int(mask.sum())
-    if total == 0:
-        raise ValueError(f"no evaluations recorded for step {step}")
-    return mask / float(total)
-
-
 def importance_weights(stack, family, theta, generation_params):
     """Self-normalized density-ratio weights d(pi_theta) / d(pi_generation).
 

@@ -28,6 +28,11 @@ def test_gd_config_validation():
         GDConfig(step_size=0.1, per_step=100, max_queries=50)
     with pytest.raises(ValueError, match="per_step"):
         GDConfig(step_size=0.1, per_step=32.0)
+    # float fields reject booleans (True would run at step size 1.0)
+    with pytest.raises(ValueError, match="step_size"):
+        GDConfig(step_size=True)
+    with pytest.raises(ValueError, match="momentum"):
+        GDConfig(step_size=0.1, momentum=False)
 
 
 def test_gradient_estimate_zero_mean_for_constant_risk():

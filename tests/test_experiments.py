@@ -380,7 +380,20 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     meta_first["meta"]["inner_first"] = 5
     meta_warm = copy.deepcopy(meta)
     meta_warm["meta"]["inner_warm"] = [1, 2]
+    # no weighting named "uniform", and JSON true is not a float setting
+    uniform = copy.deepcopy(supac)
+    uniform["supac_ce"]["weighting"] = "uniform"
+    gd_block = {"lambda": 1.0, "step_size": 0.1, "per_step": 4, "max_queries": 16}
+    meta_bool_step = copy.deepcopy(meta)
+    meta_bool_step["meta"]["meta_step_size"] = True
+    meta_bool_kl = copy.deepcopy(meta)
+    meta_bool_kl["meta"]["meta_kl_max"] = True
     for field, cfg in (
+        ("supac_ce", uniform),
+        ("step_size", with_block(supac, "gd", dict(gd_block, step_size=True))),
+        ("momentum", with_block(supac, "nesterov", dict(gd_block, momentum=True))),
+        ("meta_step_size", meta_bool_step),
+        ("meta_kl_max", meta_bool_kl),
         ("supac_ce", with_block(supac, "supac_ce", 5)),
         ("supac_ce", with_block(supac, "supac_ce", [1, 2])),
         ("gd", with_block(supac, "gd", 5)),

@@ -182,6 +182,9 @@ def test_meta_config_validation_and_warm_default():
         MetaConfig(epochs=1, inner_first=inner, meta_kl_max=0.0)
     with pytest.raises(ValueError, match="epochs"):
         MetaConfig(epochs=2.0, inner_first=inner)
+    for name in ("meta_step_size", "meta_kl_max"):
+        with pytest.raises(ValueError, match=name):
+            MetaConfig(epochs=1, inner_first=inner, **{name: True})
 
 
 def test_meta_sgd_stationary_for_zero_risk_tasks():

@@ -1,6 +1,7 @@
 """Catoni objective pieces and the damped surrogate-projection solver."""
 
 import copy
+import functools
 import math
 
 import numpy as np
@@ -75,22 +76,6 @@ def test_config_validation():
             CatoniConfig(**{"lam": 1.0, name: True})
     with pytest.raises(ValueError, match="record_trace"):
         CatoniConfig(lam=1.0, record_trace=0)
-
-
-def test_uniform_weighting_rejects_zero_draw_steps():
-    # uniform weights average the current step's batch, which a zero-draw
-    # step leaves empty
-    with pytest.raises(ValueError, match="uniform"):
-        CatoniConfig(lam=1.0, query_schedule=(100, 0, 20), weighting="uniform")
-    with pytest.raises(ValueError, match="uniform"):
-        CatoniConfig(lam=1.0, n_queries_per_step=0, weighting="uniform")
-    # a zero-draw step past max_steps never runs
-    fam = GaussianFamily(1)
-    theta_p = standard_normal_params(fam)
-    risk = QuadraticRisk(fam, eta=np.array([0.3, 0.1]))
-    cfg = small_config(query_schedule=(16, 0), max_steps=1, weighting="uniform")
-    _, trace, stack = run_supac_ce(risk, fam, theta_p, theta_p, cfg, seed=4)
-    assert len(trace) == 1 and stack.query_count == 16
 
 
 def test_query_schedule():
@@ -409,24 +394,26 @@ def test_solver_requires_identifiable_first_projection():
 
 
 def test_solver_trace_recording_does_not_affect_iterates():
-    # A traced Voronoi step takes over the reporting pass's search and scores
-    # only its new batch; the iterate and the ledger must not move, for a
-    # cold solve, a warm re-solve, and a schedule with zero-draw steps.
-    fam = GaussianFamily(4, structure="full")
-    theta_p = standard_normal_params(fam)
+    # A traced step takes over the weigher that the reporting pass built at
+    # its iterate (a Voronoi one then scores only the new batch); the iterate
+    # and the ledger must not move under any weighting, for a cold solve, a
+    # warm re-solve, and a schedule with zero-draw steps.
+    fam4 = GaussianFamily(4, structure="full")
     rng = np.random.default_rng(8)
-    risk = TanhSyntheticRisk(
+    risk4 = TanhSyntheticRisk(
         omega=2.0, a_matrix=np.eye(4) + 0.2 * rng.standard_normal((4, 4)), x0=rng.standard_normal(4)
     )
+    fam1 = GaussianFamily(1)
+    risk1 = TanhSyntheticRisk(omega=2.0, a_matrix=np.eye(1), x0=np.array([0.7]))
 
-    def both(theta0, stack, seed, **kwargs):
+    def both(fam, risk, weighting, theta0, stack, seed, **kwargs):
         settings = dict(lam=0.05, kl_max=0.5, alpha_max=0.5, n_mc_weights=3000, max_steps=6)
-        settings.update(convergence_kl_tol=0.0, **kwargs)
+        settings.update(convergence_kl_tol=0.0, weighting=weighting, **kwargs)
         runs = [
             run_supac_ce(
                 risk,
                 fam,
-                theta_p,
+                standard_normal_params(fam),
                 theta0,
                 small_config(record_trace=flag, **settings),
                 seed=seed,
@@ -441,9 +428,17 @@ def test_solver_trace_recording_does_not_affect_iterates():
         assert len(trace) == settings["max_steps"] and len(quiet_trace) == 0
         return theta, ledger
 
-    theta, stack = both(theta_p, None, 31, n_initial_queries=60, n_queries_per_step=12)
-    both(theta, stack, 32, n_initial_queries=20, n_queries_per_step=12)
-    both(theta, stack, 33, query_schedule=(20, 0, 20, 0), max_steps=4)
+    for fam, risk, weighting in (
+        (fam4, risk4, "voronoi"),
+        (fam4, risk4, "importance"),
+        (fam1, risk1, "exact1d"),
+    ):
+        run = functools.partial(both, fam, risk, weighting)
+        theta, stack = run(
+            standard_normal_params(fam), None, 31, n_initial_queries=60, n_queries_per_step=12
+        )
+        run(theta, stack, 32, n_initial_queries=20, n_queries_per_step=12)
+        run(theta, stack, 33, query_schedule=(20, 0, 20, 0), max_steps=4)
 
 
 @pytest.mark.parametrize("weighting", ["importance", "voronoi"])

@@ -14,7 +14,7 @@ from pacbayes import (
     voronoi_weights,
 )
 from pacbayes.risk import eval_risk
-from pacbayes.weighting import GRAM_CONDITION_LIMIT, exact_voronoi_weights_1d, uniform_weights
+from pacbayes.weighting import GRAM_CONDITION_LIMIT, exact_voronoi_weights_1d
 
 from _oracles import gauss_nodes, quad_projection, random_spd, random_theta
 
@@ -443,18 +443,6 @@ def test_exact_voronoi_weights_1d():
     fam2 = GaussianFamily(2, structure="diag")
     with pytest.raises(ValueError):
         exact_voronoi_weights_1d(stack_from_points([[0.0, 0.0]]), fam2, standard_normal_params(fam2))
-
-
-def test_uniform_weights_whole_and_per_step():
-    stack = EvalStack(1)
-    stack.record(np.zeros((3, 1)), [1.0, 2.0, 3.0], step=0)
-    stack.record(np.ones((2, 1)), [4.0, 5.0], step=1)
-    np.testing.assert_allclose(uniform_weights(stack), np.full(5, 0.2))
-    np.testing.assert_allclose(uniform_weights(stack, step=1), [0, 0, 0, 0.5, 0.5])
-    with pytest.raises(ValueError):
-        uniform_weights(stack, step=9)
-    with pytest.raises(ValueError):
-        uniform_weights(EvalStack(1))
 
 
 def test_importance_weights_ratio_and_normalization():
