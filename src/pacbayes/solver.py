@@ -27,6 +27,7 @@ from .risk import EvalStack, eval_risk
 from .seeding import ROLE_DRAW, ROLE_EVAL, ROLE_WEIGHTS, child_seed
 from .weighting import (
     GRAM_CONDITION_LIMIT,
+    _DrawSet,
     _NearestPoints,
     exact_voronoi_weights_1d,
     importance_weights,
@@ -85,7 +86,11 @@ class CatoniConfig:
         Explicit per-step draw counts; the last entry repeats.  Overrides the
         two fields above when given.
     n_mc_weights : int
-        Monte Carlo samples for the Voronoi weight estimate.
+        Monte Carlo samples for the Voronoi weight estimate.  A solve draws
+        one set of this many standard normals and whitens every step's
+        ledger against it, so each step's weights are exact Monte Carlo
+        estimates in that step's metric, but their errors are correlated
+        across steps.
     max_steps : int
         Hard cap on solver steps.
     convergence_kl_tol : float
@@ -354,14 +359,15 @@ class SolverTrace(RecordTable):
         return [r.theta for r in self.records]
 
 
-def _weights_for(config, family, theta, seed):
+def _weights_for(config, family, theta, draws):
     """Weigher ``weigh(stack)`` of ``config.weighting`` at ``theta``.
 
-    A Voronoi weigher keeps its search, so a later call on the grown ledger
-    scores only the rows appended since.
+    A Voronoi weigher searches with the solve's ``draws`` and keeps its
+    search, so a later call on the grown ledger scores only the rows
+    appended since.  Other weightings ignore ``draws``.
     """
     if config.weighting == "voronoi":
-        return _NearestPoints(family, theta, config.n_mc_weights, seed).weights
+        return _NearestPoints(family, theta, draws).weights
     if config.weighting == "exact1d":
         return lambda stack: exact_voronoi_weights_1d(stack, family, theta)
     return lambda stack: importance_weights(stack, family, theta, stack.generation_params)
@@ -381,7 +387,14 @@ def run_supac_ce(risk, family, theta_p, theta0, config, seed, stack=None):
         Starting iterate, inside the domain.
     config : CatoniConfig
     seed : int or numpy.random.SeedSequence
-        Master seed; all draw/weight streams derive from it.
+        Master seed.  Each step's batch comes from the stream
+        ``(seed, step, ROLE_DRAW)``.  A Voronoi solve draws one set of
+        ``n_mc_weights`` standard normals from ``(seed, 0, ROLE_WEIGHTS)``
+        and weighs every step, and every report, against it.  Each step's
+        weights are then an exact Monte Carlo estimate in that step's
+        metric.  But the iterate of step s depends on the same draws that
+        weigh step s, so the weight errors are correlated across steps and
+        the path can follow them.
     stack : EvalStack, optional
         Warm-start ledger; new draws are appended to it and the trace query
         column keeps counting from its current total.  Each batch is
@@ -404,6 +417,12 @@ def run_supac_ce(risk, family, theta_p, theta0, config, seed, stack=None):
         raise ValueError("stack predictor dimension does not match the family")
     step_offset = stack.next_step()
     trace = SolverTrace()
+    # One draw set serves every Voronoi search of the solve.
+    draws = None
+    if config.weighting == "voronoi":
+        draws = _DrawSet(
+            config.n_mc_weights, family.predictor_dim, child_seed(seed, 0, ROLE_WEIGHTS)
+        )
     # The reporting pass's weigher at the next iterate, carried into the next step.
     weigh = None
 
@@ -421,7 +440,7 @@ def run_supac_ce(risk, family, theta_p, theta0, config, seed, stack=None):
                     "no evaluations available; set n_initial_queries > 0 or pass a warm stack"
                 )
             if weigh is None:
-                weigh = _weights_for(config, family, theta, child_seed(seed, step, ROLE_WEIGHTS))
+                weigh = _weights_for(config, family, theta, draws)
             # Free the weigher before the report builds the next one.
             weights, weigh = weigh(stack), None
             fit = project(stack, weights, family, theta)
@@ -439,11 +458,8 @@ def run_supac_ce(risk, family, theta_p, theta0, config, seed, stack=None):
             )
             step_kl = family.kl(theta_next, theta)
             if config.record_trace:
-                # The report at theta_next draws from the next step's weight
-                # stream, so the next step reuses its weigher.
-                weigh = _weights_for(
-                    config, family, theta_next, child_seed(seed, step + 1, ROLE_WEIGHTS)
-                )
+                # The report weighs at theta_next, so the next step reuses its weigher.
+                weigh = _weights_for(config, family, theta_next, draws)
                 mean_risk = estimate_mean_risk(stack, weigh(stack))
                 kl_prior = family.kl(theta_next, theta_p)
                 trace.append(

@@ -47,14 +47,46 @@ class SurrogateFit:
     gram_condition: float
 
 
+class _DrawSet:
+    """``n_mc`` standard normal draws in ``k`` dimensions, for nearest-point searches.
+
+    Whitened samples from any pi_theta are exactly standard normal draws, so
+    one set serves a search at every theta.  It holds the draws ``z``, their
+    norms, the float32 ``[z, 1]`` copy that scores a block of rows in one
+    product, and the reach 2 max ||z||.  The arrays are read-only: a solve
+    hands one set to every step's search.  ``n_mc`` must be a positive
+    integer (not a bool).
+    """
+
+    def __init__(self, n_mc, k, seed):
+        if isinstance(n_mc, bool) or not isinstance(n_mc, Integral):
+            raise ValueError(f"n_mc must be an integer, got {n_mc!r}")
+        if n_mc < 1:
+            raise ValueError("n_mc must be at least 1")
+        n_mc = int(n_mc)
+        rng = np.random.Generator(np.random.Philox(seed))
+        self.z = rng.standard_normal((n_mc, k))
+        self.norms = np.sqrt(np.einsum("ij,ij->i", self.z, self.z))
+        # [z, 1] in float32: one product with [-2 x; ||x||^2] scores a block.
+        self.z32 = np.ones((n_mc, k + 1), dtype=np.float32)
+        self.z32[:, :k] = self.z
+        # ||x - z|| >= ||x|| - ||z|| > ||z|| + ||x0|| >= ||x0 - z|| for any row
+        # x beyond reach; the 1e-6 margin dwarfs the float64 scores' rounding.
+        self.reach = 2.0 * self.norms.max()
+        for array in (self.z, self.norms, self.z32):
+            array.flags.writeable = False
+
+
 class _NearestPoints:
-    """Nearest ledger row of each of ``n_mc`` draws from pi_theta.
+    """Nearest ledger row of each draw of a :class:`_DrawSet`, under pi_theta.
 
     Rows are compared in the Mahalanobis metric of pi_theta, in which the
-    draws are standard normals.  Each draw keeps its best row index, so
-    ``weights`` on a ledger that has grown since the last call scores only
-    the appended rows.  The search does only the work that can change an
-    assignment, and each rule is exact:
+    draws are standard normals.  The search only whitens rows and reads the
+    draws; it never writes into them, so one set can serve many searches.
+    Each draw keeps its best row index, so ``weights`` on a ledger that has
+    grown since the last call scores only the appended rows.  The search
+    does only the work that can change an assignment, and each rule is
+    exact:
 
     * Reach.  A row whose whitened norm exceeds (2 max ||z|| + ||x0||)
       (1 + 1e-6), where x0 is the least-norm row scored so far, is farther
@@ -77,26 +109,13 @@ class _NearestPoints:
     factor come from the family's memo of ``theta``.
     """
 
-    def __init__(self, family, theta, n_mc, seed):
-        if isinstance(n_mc, bool) or not isinstance(n_mc, Integral):
-            raise ValueError(f"n_mc must be an integer, got {n_mc!r}")
-        if n_mc < 1:
-            raise ValueError("n_mc must be at least 1")
-        n_mc, k = int(n_mc), family.predictor_dim
+    def __init__(self, family, theta, draws):
         factored = family._factor(theta)
         self._mean, self._chol = factored.mean, factored.cov_factor
-        # Whitened samples from pi_theta are exactly standard normal draws.
-        rng = np.random.Generator(np.random.Philox(seed))
-        self._draws = rng.standard_normal((n_mc, k))
-        self._norms = np.sqrt(np.einsum("ij,ij->i", self._draws, self._draws))
-        # [z, 1] in float32: one product with [-2 x; ||x||^2] scores a block.
-        self._draws32 = np.ones((n_mc, k + 1), dtype=np.float32)
-        self._draws32[:, :k] = self._draws
-        # ||x - z|| >= ||x|| - ||z|| > ||z|| + ||x0|| >= ||x0 - z|| for any row
-        # x beyond reach; the 1e-6 margin dwarfs the float64 scores' rounding.
-        self._reach = 2.0 * self._norms.max()
+        self._draws, self._norms, self._draws32 = draws.z, draws.norms, draws.z32
+        self._reach = draws.reach
         self._least = np.inf
-        self._best = np.zeros(n_mc, dtype=np.int64)
+        self._best = np.zeros(len(self._draws), dtype=np.int64)
         # Each draw's float64 score for its row, or None until the search
         # first grows; till then the first batch's (-2 x, ||x||^2, winner).
         self._score = None
@@ -108,6 +127,11 @@ class _NearestPoints:
         if len(stack) == 0:
             raise ValueError("evaluation stack is empty")
         start = self._n_rows
+        if len(stack) < start:
+            raise ValueError(
+                f"the search has scored {start} rows but the stack holds {len(stack)}; "
+                "a stack may only grow"
+            )
         if len(stack) > start:
             self._add_rows(stack.points[start:], stack._copies()[start:])
         return np.bincount(self._best, minlength=len(stack)) / float(len(self._draws))
@@ -234,23 +258,30 @@ class _NearestPoints:
 def voronoi_weights(stack, family, theta, n_mc=40_000, seed=0):
     """Monte Carlo estimate of the Voronoi cell masses under pi_theta.
 
-    Draws ``n_mc`` samples from pi_theta, assigns each to its nearest stored
-    point in the Mahalanobis metric of pi_theta, and returns the normalized
-    assignment counts.  ``n_mc`` must be a positive integer (not a bool).
-    A point whose whitened norm exceeds twice the longest draw's plus the
-    least point norm cannot be any draw's nearest and is not scored.  The
-    search screens every other pair in float32 and settles each draw whose two
-    nearest points the screen cannot tell apart in float64, so the
-    assignment is the float64 one.  Ties break toward the lowest index, and
-    an exact duplicate of an earlier point gets no mass, so the result is
-    deterministic given the seed.
+    Draws ``n_mc`` standard normals from a Philox stream seeded by ``seed``,
+    which are exactly the whitened samples of pi_theta, assigns each to its
+    nearest stored point in the Mahalanobis metric of pi_theta, and returns
+    the normalized assignment counts.  ``n_mc`` must be a positive integer
+    (not a bool).  A point whose whitened norm exceeds twice the longest
+    draw's plus the least point norm cannot be any draw's nearest and is not
+    scored.  The search screens every other pair in float32 and settles each
+    draw whose two nearest points the screen cannot tell apart in float64,
+    so the assignment is the float64 one.  Ties break toward the lowest
+    index, and an exact duplicate of an earlier point gets no mass, so the
+    result is deterministic given the seed.
+
+    Each call draws its own set.  :func:`~pacbayes.solver.run_supac_ce`
+    draws one set per solve and whitens every step's ledger against it, so
+    its weights at each step equal this function's at that step's theta
+    with the solve's draw seed.
 
     Returns
     -------
     numpy.ndarray
         Nonnegative weights aligned with the stack entries, summing to 1.
     """
-    return _NearestPoints(family, theta, n_mc, seed).weights(stack)
+    draws = _DrawSet(n_mc, family.predictor_dim, seed)
+    return _NearestPoints(family, theta, draws).weights(stack)
 
 
 def exact_voronoi_weights_1d(stack, family, theta):

@@ -443,3 +443,75 @@ def test_cli_seed_and_output_overrides(tmp_path):
     manifest = json.loads((override / "manifest.json").read_text())
     assert manifest["config"]["master_seed"] == 99
     assert not (tmp_path / "ignored").exists()
+
+
+def pinned_configs(output_dir):
+    """Small runs whose output bytes are pinned, by case name."""
+    solve = {
+        "method": "supac_ce",
+        "family": {"structure": "full", "predictor_dim": 4},
+        "risk": {"kind": "tanh_synthetic", "sampled": True},
+        "supac_ce": {
+            "lambda": 0.05,
+            "kl_max": 0.5,
+            "alpha_max": 0.5,
+            "n_initial_queries": 60,
+            "n_queries_per_step": 12,
+            "n_mc_weights": 1000,
+            "max_steps": 6,
+            "convergence_kl_tol": 0.0,
+        },
+        "repeats": 2,
+        "master_seed": 7,
+        "output_dir": str(output_dir),
+    }
+    untraced = copy.deepcopy(solve)
+    untraced["supac_ce"]["record_trace"] = False
+    importance = copy.deepcopy(solve)
+    importance["supac_ce"]["weighting"] = "importance"
+    return {
+        "voronoi traced": solve,
+        "voronoi untraced": untraced,
+        "importance traced": importance,
+        "meta": meta_config(output_dir),
+    }
+
+
+# sha256 of every output of each pinned run.  A change that moves a byte of
+# any output must update these digests and say which outputs moved and why.
+PINNED_DIGESTS = {
+    "voronoi traced": {
+        "posterior_000.json": "03507c346adddc8852b56779e317efee42f75855617a3be50cc73393a2b6e2fb",
+        "posterior_001.json": "510279c25387daf81292e4f2c6b9b0fd47753385000c90c28aa5d0bd0a9f82f6",
+        "stack_000.csv": "e3f85a8e58da7de48505b70dcd2fcb93479b7e55484adc804d4000daacd50354",
+        "stack_001.csv": "fa65566048c2eb48ef1194c48752e6e109810a5ad59050952d8e7628b4ba9731",
+        "trace_000.csv": "733e71b9ddb26109308115504c9d55f9c1fb3a75ba93b4c3b1ea20a2a57b2e82",
+        "trace_001.csv": "f0608107d6f7b62bdc05e1d9313bb794fdb7b40389805e52f4e16beebe1e53d7",
+    },
+    "voronoi untraced": {
+        "posterior_000.json": "03507c346adddc8852b56779e317efee42f75855617a3be50cc73393a2b6e2fb",
+        "posterior_001.json": "510279c25387daf81292e4f2c6b9b0fd47753385000c90c28aa5d0bd0a9f82f6",
+        "stack_000.csv": "e3f85a8e58da7de48505b70dcd2fcb93479b7e55484adc804d4000daacd50354",
+        "stack_001.csv": "fa65566048c2eb48ef1194c48752e6e109810a5ad59050952d8e7628b4ba9731",
+        "trace_000.csv": "9ab66f4348a9902b5811ae96a54e6412b757f945492f9953bf7525bf3d6b12de",
+        "trace_001.csv": "9ab66f4348a9902b5811ae96a54e6412b757f945492f9953bf7525bf3d6b12de",
+    },
+    "importance traced": {
+        "posterior_000.json": "6c89d549b4728f403de3bb0393061ed6cabcec88bfd9036b2a374886830832c8",
+        "posterior_001.json": "63972ad49b7d01e053dfb880e6632bf432dcd7bc425441ea67e6e9e7e2036c4d",
+        "stack_000.csv": "490ab347cd38fd817e58c62211e80d8635f64aefeeb4cf5f798e3eb39acd6467",
+        "stack_001.csv": "2b4131d72b3078c8a7e7b3d5de87733df683d9561345a5e027327d6935e1f1c9",
+        "trace_000.csv": "b6f09daccf4d4a0af0955b327ac82b546e4b935453971e45b3fa406dba04cac3",
+        "trace_001.csv": "6be2b15f513ef735b1de12ab861ad44c55b71123f3b11f38ae5d64eff3faff73",
+    },
+    "meta": {
+        "meta_trace_000.csv": "edf5de98d6387de4413f57abef1f19fbbc550d53fbe4b4c80adc98fd29cf080e",
+        "prior_000.json": "fed285f5b22672ad830f06a9a4ef59fb814a1f061e893520cfee5dbe81a4fcd2",
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_DIGESTS))
+def test_output_bytes_are_pinned(tmp_path, case):
+    manifest = run_experiment(pinned_configs(tmp_path)[case])
+    assert manifest["outputs"] == PINNED_DIGESTS[case]

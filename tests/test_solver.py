@@ -441,6 +441,88 @@ def test_solver_trace_recording_does_not_affect_iterates():
         run(theta, stack, 33, query_schedule=(20, 0, 20, 0), max_steps=4)
 
 
+def _counted_draw_sets(monkeypatch):
+    """Record the arguments of every Voronoi draw set built from now on."""
+    from pacbayes import weighting as wmod
+
+    built = []
+    init = wmod._DrawSet.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(wmod._DrawSet, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("record_trace", [True, False])
+def test_voronoi_solve_shares_one_draw_set_and_weighs_as_fresh_searches(monkeypatch, record_trace):
+    # A Voronoi solve draws one set of normals and hands it to every step's
+    # search and every report's.  Sharing must change nothing but the cost:
+    # each step's and each report's weights equal a fresh voronoi_weights at
+    # that iterate over the ledger as it stood, with the solve's draw seed.
+    from pacbayes import solver as solver_mod
+    from pacbayes import voronoi_weights
+    from pacbayes.seeding import ROLE_WEIGHTS, child_seed
+
+    fam = GaussianFamily(8, structure="full")
+    rng = np.random.default_rng(61)
+    risk = TanhSyntheticRisk(
+        omega=2.0, a_matrix=np.eye(8) + 0.2 * rng.standard_normal((8, 8)), x0=rng.standard_normal(8)
+    )
+    theta_p = standard_normal_params(fam)
+    cfg = small_config(
+        lam=0.05,
+        kl_max=0.5,
+        alpha_max=0.5,
+        query_schedule=(80, 16, 16, 0, 16),
+        n_mc_weights=2000,
+        max_steps=6,
+        convergence_kl_tol=0.0,
+        record_trace=record_trace,
+    )
+    steps, reports = [], []
+    project, mean_risk = solver_mod.project, solver_mod.estimate_mean_risk
+
+    def spy_project(stack, weights, family, theta):
+        steps.append((len(stack), theta.copy(), weights.copy()))
+        return project(stack, weights, family, theta)
+
+    def spy_mean_risk(stack, weights):
+        reports.append((len(stack), weights.copy()))
+        return mean_risk(stack, weights)
+
+    monkeypatch.setattr(solver_mod, "project", spy_project)
+    monkeypatch.setattr(solver_mod, "estimate_mean_risk", spy_mean_risk)
+    built = _counted_draw_sets(monkeypatch)
+    seed = 9
+    _, trace, stack = run_supac_ce(risk, fam, theta_p, theta_p, cfg, seed=seed)
+    assert len(built) == 1 and len(steps) == cfg.max_steps
+    assert len(reports) == (cfg.max_steps if record_trace else 0)
+    weighed = steps + [(n, theta, w) for (n, w), theta in zip(reports, trace.thetas)]
+    for n, theta, w in weighed:
+        prefix = EvalStack(8)
+        for s in np.unique(stack.steps[:n]):
+            mask = stack.steps[:n] == s
+            prefix.record(stack.points[:n][mask], stack.values[:n][mask], s)
+        fresh = voronoi_weights(
+            prefix, fam, theta, n_mc=cfg.n_mc_weights, seed=child_seed(seed, 0, ROLE_WEIGHTS)
+        )
+        np.testing.assert_array_equal(w, fresh)
+
+
+@pytest.mark.parametrize("weighting", ["voronoi", "importance", "exact1d"])
+def test_only_a_voronoi_solve_draws_a_set_and_it_draws_one(monkeypatch, weighting):
+    fam = GaussianFamily(1)
+    theta_p = standard_normal_params(fam)
+    risk = TanhSyntheticRisk(omega=2.0, a_matrix=np.eye(1), x0=np.array([0.7]))
+    built = _counted_draw_sets(monkeypatch)
+    cfg = small_config(lam=0.05, kl_max=0.5, max_steps=5, weighting=weighting)
+    run_supac_ce(risk, fam, theta_p, theta_p, cfg, seed=4)
+    assert len(built) == (1 if weighting == "voronoi" else 0)
+
+
 @pytest.mark.parametrize("weighting", ["importance", "voronoi"])
 def test_solves_factor_each_parameter_once_and_match_solves_without_the_memo(
     monkeypatch, tmp_path, weighting

@@ -133,7 +133,7 @@ def test_voronoi_search_extended_by_appended_rows_matches_a_fresh_search(monkeyp
         monkeypatch.setattr(wmod, "_CHUNK_BUDGET", budget)
         for case, new in appended.items():
             stack = stack_from_points(old)
-            search = wmod._NearestPoints(fam, theta, n_mc, seed)
+            search = wmod._NearestPoints(fam, theta, wmod._DrawSet(n_mc, fam.predictor_dim, seed))
             before = search.weights(stack)
             if len(new):
                 stack.record(new, np.zeros(len(new)), step=1)
@@ -180,7 +180,7 @@ def test_ledger_copy_mask_matches_a_search_that_keys_its_own_rows(monkeypatch):
     }
     n_mc, seed = 4000, 17
     stack = stack_from_points(old)
-    search = wmod._NearestPoints(fam, theta, n_mc, seed)
+    search = wmod._NearestPoints(fam, theta, wmod._DrawSet(n_mc, fam.predictor_dim, seed))
     search.weights(stack)
     for step, (case, new) in enumerate(batches.items(), start=1):
         stack.record(new, np.zeros(len(new)), step)
@@ -238,7 +238,7 @@ def test_voronoi_near_ties_match_a_float64_cdist_assignment():
         np.testing.assert_array_equal(w, cdist_weights(points), err_msg=case)
     # a carried search extended by a batch of copies alone moves no draw
     stack = stack_from_points(ties)
-    search = wmod._NearestPoints(fam, theta, n_mc, seed)
+    search = wmod._NearestPoints(fam, theta, wmod._DrawSet(n_mc, fam.predictor_dim, seed))
     before = search.weights(stack)
     stack.record(ties[[4, 160, 4]], np.zeros(3), step=1)
     w = search.weights(stack)
@@ -310,7 +310,7 @@ def _grown_and_fresh(fam, theta, old, batches, n_mc, seed):
     from pacbayes import weighting as wmod
 
     stack = stack_from_points(old)
-    search = wmod._NearestPoints(fam, theta, n_mc, seed)
+    search = wmod._NearestPoints(fam, theta, wmod._DrawSet(n_mc, fam.predictor_dim, seed))
     search.weights(stack)
     # a first batch's scores are computed only when the search grows
     assert search._score is None
@@ -421,6 +421,29 @@ def test_voronoi_accepts_a_numpy_integer_draw_count():
         voronoi_weights(stack, fam, theta, n_mc=np.int64(500), seed=3),
         voronoi_weights(stack, fam, theta, n_mc=500, seed=3),
     )
+
+
+def test_voronoi_search_rejects_a_stack_that_shrank():
+    # A search keeps the rows it has scored; a shorter stack cannot be
+    # the same ledger grown, and its weights would not align with it.
+    from pacbayes import weighting as wmod
+
+    fam = GaussianFamily(2, structure="full")
+    theta = standard_normal_params(fam)
+    search = wmod._NearestPoints(fam, theta, wmod._DrawSet(500, 2, 3))
+    search.weights(stack_from_points([[0.0, 0.0], [1.0, 0.5], [-1.0, 0.25]]))
+    with pytest.raises(ValueError, match="scored 3 rows but the stack holds 2"):
+        search.weights(stack_from_points([[0.0, 0.0], [1.0, 0.5]]))
+
+
+def test_draw_set_is_read_only():
+    # a solve hands one set to every search; none may write into it
+    from pacbayes import weighting as wmod
+
+    draws = wmod._DrawSet(100, 3, 7)
+    for array in (draws.z, draws.norms, draws.z32):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
 
 
 def test_exact_voronoi_weights_1d_duplicates_keep_first_occurrence():
