@@ -21,8 +21,6 @@ from pacbayes import (
     run_meta_sgd,
     sample_synthetic_task,
     standard_normal_params,
-    tasks_from_json,
-    tasks_to_json,
 )
 
 k = 4
@@ -35,7 +33,6 @@ lam = 0.1
 env = TaskEnvironment.sample(5, k)
 train = [sample_synthetic_task(s, k, env=env, lam=lam) for s in range(8)]
 test = [sample_synthetic_task(100 + s, k, env=env, lam=lam) for s in range(4)]
-train_json = tasks_to_json(train)
 
 # First solves of a task get a real budget; re-solves after a prior update
 # start from the stored posterior and ledger and only top up.
@@ -69,17 +66,13 @@ cfg = MetaConfig(
     n_eval=2000,
 )
 
-# Meta objective before training, on fresh task copies so the originals keep
-# their ledgers.
-m0 = meta_objective(
-    fam, theta_p0, tasks_from_json(train_json), inner_first, seed=777, n_eval=5000, warm=False
-)
+# The meta objective solves every task cold from the given prior and stores
+# nothing on the tasks; only run_meta_sgd keeps posteriors and ledgers.
+m0 = meta_objective(fam, theta_p0, train, inner_first, seed=777, n_eval=5000)
 print(f"meta objective at the standard prior: {m0:.3f}")
 
 theta_p, trace = run_meta_sgd(fam, train, theta_p0, cfg, seed=11)
-m1 = meta_objective(
-    fam, theta_p, tasks_from_json(train_json), inner_first, seed=777, n_eval=5000, warm=False
-)
+m1 = meta_objective(fam, theta_p, train, inner_first, seed=777, n_eval=5000)
 print(f"meta objective at the learned prior:  {m1:.3f}  ({100 * (m0 - m1) / m0:.1f}% lower)")
 
 # The learned prior transfers: held-out tasks solved from it reach better

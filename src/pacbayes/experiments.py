@@ -40,7 +40,7 @@ from .families import ConfigError, GaussianFamily, params_to_json, standard_norm
 from .meta import MetaConfig, TaskEnvironment, run_meta_sgd, sample_synthetic_task
 from .risk import risk_from_dict
 from .seeding import ROLE_TASK, child_int, child_seed
-from .solver import CatoniConfig, SolverTrace, run_supac_ce
+from .solver import CatoniConfig, SolverTrace, _check_solvable, run_supac_ce
 
 logger = logging.getLogger("pacbayes")
 
@@ -82,11 +82,17 @@ def _dataclass_from(cls, data, where, rename=()):
         raise ConfigError(f"{where[:-1]}: {exc}", field=where[:-1]) from None
 
 
-def _catoni_from(data, where):
+def _catoni_from(data, where, family, cold=True):
+    """A solver block, checked to get past a solve's first step on ``family``."""
     # JSON true would otherwise reach CatoniConfig as lam and be named there.
     if isinstance(data, dict) and isinstance(data.get("lambda"), bool):
         raise ConfigError(f"{where}lambda must be a number", field=where + "lambda")
-    return _dataclass_from(CatoniConfig, data, where, rename=(("lambda", "lam"),))
+    config = _dataclass_from(CatoniConfig, data, where, rename=(("lambda", "lam"),))
+    try:
+        _check_solvable(config, family, cold)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}{exc}", field=where + exc.field) from None
+    return config
 
 
 def _parse_family(data):
@@ -185,7 +191,7 @@ def _run_single(method, config, family, theta_p, theta0, run_seed):
     """One repeat; returns a dict of artifact name -> writer callable."""
     if method == "supac_ce":
         risk = _build_risk(_require(config, "risk", ""), family, run_seed)
-        solver_cfg = _catoni_from(_require(config, "supac_ce", ""), "supac_ce.")
+        solver_cfg = _catoni_from(_require(config, "supac_ce", ""), "supac_ce.", family)
         theta, trace, stack = run_supac_ce(
             risk, family, theta_p, theta0, solver_cfg, run_seed
         )
@@ -222,9 +228,12 @@ def _run_single(method, config, family, theta_p, theta0, run_seed):
     block = _object(_require(config, "meta", ""), "meta")
     if "inner_first" not in block:
         raise ConfigError("meta.inner_first is required", field="meta.inner_first")
-    block["inner_first"] = _catoni_from(block["inner_first"], "meta.inner_first.")
+    block["inner_first"] = _catoni_from(block["inner_first"], "meta.inner_first.", family)
     if block.get("inner_warm") is not None:
-        block["inner_warm"] = _catoni_from(block["inner_warm"], "meta.inner_warm.")
+        # A warm re-solve starts on the task's ledger, so it may draw nothing at first.
+        block["inner_warm"] = _catoni_from(
+            block["inner_warm"], "meta.inner_warm.", family, cold=False
+        )
     meta_cfg = _dataclass_from(MetaConfig, block, "meta.")
     try:
         env = TaskEnvironment.sample(child_seed(run_seed, 0, ROLE_TASK), family.predictor_dim)

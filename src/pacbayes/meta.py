@@ -131,29 +131,29 @@ def meta_gradient(family, theta_p, posteriors, lams):
     return grad
 
 
-def _solve_and_score(family, task, idx, theta_p, inner_config, n_eval, seed, branch, warm):
+def _solve_and_score(family, task, idx, theta_p, inner_config, n_eval, seed, branch,
+                     theta0=None, stack=None):
     """Solve task ``idx`` at prior ``theta_p`` and estimate its objective.
 
-    The solve runs with the task's own temperature, and its streams follow
-    the path (seed, branch, idx).  A warm solve restarts from the task's
-    stored posterior (the prior on a first visit) on the task's ledger, and
-    stores the new posterior on the task; a cold solve starts
-    from the prior on a fresh ledger and leaves the task untouched.  The
-    objective is exact when the risk has closed forms.  Any failure is
-    re-raised as one ValueError that names the task, chained to its cause.
+    The solve runs with the task's own temperature from ``theta0`` (default
+    the prior) on ``stack`` (default a fresh ledger, which the solve grows
+    as :func:`run_supac_ce` does), and its streams follow the path
+    (seed, branch, idx).  It returns (objective, posterior, ledger) and
+    stores nothing on the task.  The objective is exact when the risk has
+    closed forms.  Any failure is re-raised as one ValueError that names
+    the task, chained to its cause.
     """
     if inner_config.lam != task.lam:
         inner_config = replace(inner_config, lam=task.lam)
-    theta0 = task.posterior if warm and task.posterior is not None else theta_p
     try:
-        theta, _, _ = run_supac_ce(
+        theta, _, stack = run_supac_ce(
             task.risk,
             family,
             theta_p,
-            theta0,
+            theta_p if theta0 is None else theta0,
             inner_config,
             child_int(seed, branch, idx, ROLE_TASK),
-            stack=task.stack if warm else None,
+            stack=stack,
         )
         if isinstance(task.risk, QuadraticRisk):
             mean_risk = task.risk.expected_value(theta)
@@ -162,26 +162,20 @@ def _solve_and_score(family, task, idx, theta_p, inner_config, n_eval, seed, bra
             mean_risk = float(np.mean(eval_risk(task.risk, points)))
     except Exception as exc:
         raise ValueError(f"inner solve failed for task {idx}: {exc}") from exc
-    objective = catoni_objective(mean_risk, family.kl(theta, theta_p), task.lam)
-    if warm:
-        task.posterior = theta
-    return objective
+    return catoni_objective(mean_risk, family.kl(theta, theta_p), task.lam), theta, stack
 
 
-def meta_objective(family, theta_p, tasks, inner_config, seed, n_eval=2000, warm=True):
+def meta_objective(family, theta_p, tasks, inner_config, seed, n_eval=2000):
     """Sum of optimized task objectives at prior ``theta_p``.
 
-    Each task is solved by the surrogate solver.  With ``warm=True`` the
-    task's stored ledger and posterior are reused and updated in place; with
-    ``warm=False`` the solves run on fresh ledgers from ``theta_p`` and the
-    tasks are left untouched (needed when probing the objective at several
-    priors, e.g. for finite differences).
+    Each task is solved cold by the surrogate solver, from ``theta_p`` on a
+    fresh ledger, so the tasks are left untouched and the objective can be
+    probed at several priors (e.g. for finite differences).  Only
+    :func:`run_meta_sgd` stores posteriors and ledgers on tasks.
     """
     total = 0.0
     for idx, task in enumerate(tasks):
-        total += _solve_and_score(
-            family, task, idx, theta_p, inner_config, n_eval, seed, 0, warm=warm
-        )
+        total += _solve_and_score(family, task, idx, theta_p, inner_config, n_eval, seed, 0)[0]
     return total
 
 
@@ -253,9 +247,10 @@ def run_meta_sgd(family, tasks, theta_p0, config, seed):
     moves against the batch-mean meta gradient, scaled by
     ``meta_step_size / mean(lam)`` and clipped to the KL trust region.
 
-    Task ledgers and posteriors are updated in place.
-    The recorded ``meta_obj`` is the batch estimate of the full task-sum
-    objective.
+    This is the one writer of task state: after each solve it stores the
+    task's posterior and its grown ledger on the task, so the next visit
+    warm-restarts from them.  The recorded ``meta_obj`` is the batch
+    estimate of the full task-sum objective.
 
     Returns
     -------
@@ -275,11 +270,11 @@ def run_meta_sgd(family, tasks, theta_p0, config, seed):
             for ti in batch:
                 task = tasks[int(ti)]
                 inner = config.inner_first if task.posterior is None else config.inner_warm
-                objectives.append(
-                    _solve_and_score(
-                        family, task, int(ti), theta_p, inner, config.n_eval, seed, epoch, warm=True
-                    )
+                objective, task.posterior, task.stack = _solve_and_score(
+                    family, task, int(ti), theta_p, inner, config.n_eval, seed, epoch,
+                    task.posterior, task.stack,
                 )
+                objectives.append(objective)
             posteriors = [tasks[int(ti)].posterior for ti in batch]
             lams = [tasks[int(ti)].lam for ti in batch]
             grad = meta_gradient(family, theta_p, posteriors, lams) / len(batch)
@@ -308,7 +303,7 @@ def evaluate_prior(family, tasks, theta_p, inner_config, seed, n_eval=10_000):
     ``n_eval`` fresh draws at the solved posterior.
     """
     scores = [
-        _solve_and_score(family, task, idx, theta_p, inner_config, n_eval, seed, 1, warm=False)
+        _solve_and_score(family, task, idx, theta_p, inner_config, n_eval, seed, 1)[0]
         for idx, task in enumerate(tasks)
     ]
     return float(np.mean(scores))

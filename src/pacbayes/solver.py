@@ -22,7 +22,7 @@ from numbers import Integral, Real
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .families import DomainError, params_from_json
+from .families import ConfigError, DomainError, params_from_json
 from .risk import EvalStack, eval_risk
 from .seeding import ROLE_DRAW, ROLE_EVAL, ROLE_WEIGHTS, child_seed
 from .weighting import (
@@ -373,6 +373,30 @@ def _weights_for(config, family, theta, draws):
     return lambda stack: importance_weights(stack, family, theta, stack.generation_params)
 
 
+def _check_solvable(config, family, cold=True):
+    """Raise ConfigError, naming the field, if the first step of a solve must fail.
+
+    ``exact1d`` weighting needs a one-dimensional family.  A cold solve, one
+    on an empty ledger, must draw more than ``family.dim`` evaluations at its
+    first step: with fewer, the projection's centred Gram matrix has rank
+    below ``dim``.  A warm solve may draw nothing at its first step.
+    """
+    if config.weighting == "exact1d" and family.predictor_dim != 1:
+        raise ConfigError(
+            f"weighting: exact1d needs a one-dimensional family, not predictor_dim "
+            f"{family.predictor_dim}",
+            field="weighting",
+        )
+    n_first = config.queries_at(0)
+    if cold and n_first <= family.dim:
+        field = "n_initial_queries" if config.query_schedule is None else "query_schedule"
+        raise ConfigError(
+            f"{field}: the first step on an empty ledger draws {n_first} evaluations, and "
+            f"the first projection needs more than {family.dim} (the family's dimension)",
+            field=field,
+        )
+
+
 def run_supac_ce(risk, family, theta_p, theta0, config, seed, stack=None):
     """Minimize the Catoni objective by damped surrogate projection steps.
 
@@ -399,7 +423,15 @@ def run_supac_ce(risk, family, theta_p, theta0, config, seed, stack=None):
         Warm-start ledger; new draws are appended to it and the trace query
         column keeps counting from its current total.  Each batch is
         recorded with the iterate it was drawn from, which importance
-        weighting needs for every step in the ledger.
+        weighting needs for every step in the ledger.  Without one, the
+        first step must draw more than ``family.dim`` evaluations.
+
+    Raises
+    ------
+    ConfigError
+        Before any draw, for ``exact1d`` weighting on a family of more than
+        one dimension, and for a first step on an empty ledger that draws
+        too few evaluations to fit the first projection.
 
     Returns
     -------
@@ -415,6 +447,7 @@ def run_supac_ce(risk, family, theta_p, theta0, config, seed, stack=None):
         stack = EvalStack(family.predictor_dim)
     elif stack.predictor_dim != family.predictor_dim:
         raise ValueError("stack predictor dimension does not match the family")
+    _check_solvable(config, family, cold=len(stack) == 0)
     step_offset = stack.next_step()
     trace = SolverTrace()
     # One draw set serves every Voronoi search of the solve.
@@ -435,10 +468,6 @@ def run_supac_ce(risk, family, theta_p, theta0, config, seed, stack=None):
                 points = family.sample(theta, n_draw, child_seed(seed, step, ROLE_DRAW))
                 values = eval_risk(risk, points)
                 stack.record(points, values, step_offset + step, theta=theta)
-            if len(stack) == 0:
-                raise ValueError(
-                    "no evaluations available; set n_initial_queries > 0 or pass a warm stack"
-                )
             if weigh is None:
                 weigh = _weights_for(config, family, theta, draws)
             # Free the weigher before the report builds the next one.
@@ -449,7 +478,7 @@ def run_supac_ce(risk, family, theta_p, theta0, config, seed, stack=None):
             ):
                 raise ValueError(
                     "projection Gram matrix is ill conditioned at the first step; "
-                    f"need more than {family.dim + 1} distinct evaluations "
+                    f"need more than {family.dim} distinct evaluations "
                     f"(ledger holds {len(stack)}); increase n_initial_queries"
                 )
             theta_cand = surrogate_argmin(theta_p, fit.eta, config.lam)

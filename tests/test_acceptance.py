@@ -355,7 +355,7 @@ def test_criterion_07_meta_gradient_matches_finite_differences():
     )
 
     def objective(tp):
-        return meta_objective(fam, tp, task_list, inner, seed=0, warm=False)
+        return meta_objective(fam, tp, task_list, inner, seed=0)
 
     posteriors = [
         QuadraticRisk(fam, eta=eta).gibbs_posterior(theta_p, lam)
@@ -419,7 +419,6 @@ def test_criterion_08_meta_learning_improves_prior():
         inner_first,
         seed=777,
         n_eval=10_000,
-        warm=False,
     )
     theta_p, trace = run_meta_sgd(fam, train, theta_p0, cfg, seed=31337)
     m_final = meta_objective(
@@ -429,7 +428,6 @@ def test_criterion_08_meta_learning_improves_prior():
         inner_first,
         seed=777,
         n_eval=10_000,
-        warm=False,
     )
     decrease = (m_initial - m_final) / m_initial
     assert decrease >= 0.40

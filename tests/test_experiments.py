@@ -412,9 +412,43 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         assert field in capsys.readouterr().err
     assert not (tmp_path / "out" / "manifest.json").exists()
 
-    # a failing meta inner solve is a runtime failure whose message names the task
+    # a solve whose first step must fail exits 2 naming the field, before any solve
+    def supac_k3(**settings):
+        cfg = supac_config(tmp_path / "unsolvable")
+        cfg["family"] = {"structure": "full", "predictor_dim": 3}  # dim 9
+        cfg["risk"] = {"kind": "tanh_synthetic", "sampled": True}
+        cfg["supac_ce"].update(settings)
+        return cfg
+
+    def meta_with(block, **settings):
+        cfg = meta_config(tmp_path / "unsolvable")  # diag, predictor_dim 3: dim 6
+        cfg["meta"][block].update(settings)
+        return cfg
+
+    for field, cfg in (
+        ("supac_ce.weighting", supac_k3(weighting="exact1d")),
+        ("supac_ce.n_initial_queries", supac_k3(n_initial_queries=0)),
+        ("supac_ce.n_initial_queries", supac_k3(n_initial_queries=5)),
+        ("supac_ce.n_initial_queries", supac_k3(n_initial_queries=9, weighting="importance")),
+        ("supac_ce.query_schedule", supac_k3(query_schedule=[9, 10])),
+        ("meta.inner_first.n_initial_queries", meta_with("inner_first", n_initial_queries=2)),
+        ("meta.inner_first.weighting", meta_with("inner_first", weighting="exact1d")),
+        ("meta.inner_warm.weighting", meta_with("inner_warm", weighting="exact1d")),
+    ):
+        path = tmp_path / "unsolvable.json"
+        path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert main(["run", "--config", str(path)]) == 2, cfg
+        assert f"error: {field}: " in capsys.readouterr().err
+        assert not list((tmp_path / "unsolvable").glob("*_000.*"))
+    # a warm re-solve may draw nothing at its first step
+    path.write_text(json.dumps(meta_with("inner_warm", n_initial_queries=0)))
+    assert main(["run", "--config", str(path)]) == 0
+
+    # a failing meta inner solve is a runtime failure whose message names the task;
+    # one weight draw leaves a single cell with mass and the first projection singular
     starved = meta_config(tmp_path / "starved")
-    starved["meta"]["inner_first"]["n_initial_queries"] = 2
+    starved["meta"]["inner_first"]["n_mc_weights"] = 1
     path = tmp_path / "starved.json"
     path.write_text(json.dumps(starved))
     capsys.readouterr()

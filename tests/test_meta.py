@@ -131,12 +131,12 @@ def test_meta_objective_closed_form_and_task_order():
         risk = QuadraticRisk(fam, eta=eta)
         theta_hat = risk.gibbs_posterior(theta_p, lam)
         expected += risk.expected_value(theta_hat) + lam * fam.kl(theta_hat, theta_p)
-    val = meta_objective(fam, theta_p, tasks, exact_inner_config(), seed=0, warm=False)
+    val = meta_objective(fam, theta_p, tasks, exact_inner_config(), seed=0)
     assert val == pytest.approx(expected, abs=1e-8)
-    # warm=False leaves the tasks untouched
+    # the tasks are left untouched
     assert all(t.posterior is None and len(t.stack) == 0 for t in tasks)
     shuffled = [tasks[2], tasks[0], tasks[1]]
-    val2 = meta_objective(fam, theta_p, shuffled, exact_inner_config(), seed=5, warm=False)
+    val2 = meta_objective(fam, theta_p, shuffled, exact_inner_config(), seed=5)
     assert val2 == pytest.approx(val, abs=1e-10)
 
 
@@ -144,8 +144,11 @@ def test_meta_objective_zero_risk_tasks():
     fam = GaussianFamily(1)
     theta_p = standard_normal_params(fam)
     tasks = quadratic_tasks(fam, [np.zeros(2), np.zeros(2)], [0.4, 0.4])
-    val = meta_objective(fam, theta_p, tasks, exact_inner_config(), seed=1, warm=True)
+    val = meta_objective(fam, theta_p, tasks, exact_inner_config(), seed=1)
     assert val == pytest.approx(0.0, abs=1e-10)
+    # epoch 0 solves at the initial prior, and a zero risk keeps the prior
+    cfg = MetaConfig(epochs=1, inner_first=exact_inner_config(), batch_size=2)
+    run_meta_sgd(fam, tasks, theta_p, cfg, seed=1)
     for task in tasks:
         np.testing.assert_allclose(task.posterior, theta_p, atol=1e-10)
 
@@ -161,7 +164,7 @@ def test_meta_gradient_matches_finite_differences():
     inner = exact_inner_config()
 
     def objective(tp):
-        return meta_objective(fam, tp, tasks, inner, seed=0, warm=False)
+        return meta_objective(fam, tp, tasks, inner, seed=0)
 
     posteriors = [
         QuadraticRisk(fam, eta=eta).gibbs_posterior(theta_p, lam)
@@ -207,9 +210,9 @@ def test_meta_sgd_descends_on_shared_optimum_tasks():
     cfg = MetaConfig(
         epochs=10, inner_first=inner, batch_size=4, meta_step_size=0.5, meta_kl_max=0.2
     )
-    m_before = meta_objective(fam, theta_p0, tasks, inner, seed=0, warm=False)
+    m_before = meta_objective(fam, theta_p0, tasks, inner, seed=0)
     theta_p, trace = run_meta_sgd(fam, tasks, theta_p0, cfg, seed=3)
-    m_after = meta_objective(fam, theta_p, tasks, inner, seed=0, warm=False)
+    m_after = meta_objective(fam, theta_p, tasks, inner, seed=0)
     assert m_after < m_before
     batch_objs = trace.column("meta_obj")
     assert len(batch_objs) == 10
@@ -284,7 +287,7 @@ def test_inner_solve_failures_name_the_task():
         stack=EvalStack(1),
     )
     with pytest.raises(ValueError, match="task 1"):
-        meta_objective(fam, theta_p, [good, bad], exact_inner_config(0.5), seed=0, warm=False)
+        meta_objective(fam, theta_p, [good, bad], exact_inner_config(0.5), seed=0)
 
     # an error class whose constructor takes two arguments is chained, not rebuilt
     class BackendError(Exception):
@@ -296,7 +299,7 @@ def test_inner_solve_failures_name_the_task():
 
     bad = TaskSpec(risk=CustomRisk(failing_backend, 1), lam=0.5, stack=EvalStack(1))
     with pytest.raises(ValueError, match="task 1.*risk backend unavailable") as info:
-        meta_objective(fam, theta_p, [good, bad], exact_inner_config(0.5), seed=0, warm=False)
+        meta_objective(fam, theta_p, [good, bad], exact_inner_config(0.5), seed=0)
     assert isinstance(info.value.__cause__, BackendError)
 
 
@@ -308,9 +311,38 @@ def test_meta_sgd_respects_per_task_temperatures():
     lam_task = 2.0
     tasks = quadratic_tasks(fam, [eta], [lam_task])
     inner = exact_inner_config(lam=0.1)  # deliberately different temperature
-    val = meta_objective(fam, theta_p, tasks, inner, seed=0, warm=True)
+    val = meta_objective(fam, theta_p, tasks, inner, seed=0)
     risk = QuadraticRisk(fam, eta=eta)
     theta_hat = risk.gibbs_posterior(theta_p, lam_task)
     expected = risk.expected_value(theta_hat) + lam_task * fam.kl(theta_hat, theta_p)
     assert val == pytest.approx(expected, abs=1e-8)
+    # epoch 0 solves at the initial prior, so it stores the Gibbs posterior at the task's lam
+    run_meta_sgd(fam, tasks, theta_p, MetaConfig(epochs=1, inner_first=inner), seed=0)
     np.testing.assert_allclose(tasks[0].posterior, theta_hat, atol=1e-8)
+
+
+def test_only_meta_sgd_writes_task_state():
+    # meta_objective and evaluate_prior solve cold and store nothing, before
+    # and after run_meta_sgd has stored a posterior and a ledger on each task
+    fam = GaussianFamily(1)
+    theta_p = standard_normal_params(fam)
+    tasks = quadratic_tasks(fam, [np.array([0.3, 0.1]), np.array([-0.2, 0.15])], [0.5, 0.8])
+    inner = exact_inner_config()
+
+    def state():
+        return [(t.posterior, t.stack, len(t.stack)) for t in tasks]
+
+    def assert_untouched(before):
+        for (posterior, stack, rows), task in zip(before, tasks):
+            assert task.posterior is posterior and task.stack is stack
+            assert len(task.stack) == rows
+
+    for visited in (False, True):
+        if visited:
+            run_meta_sgd(fam, tasks, theta_p, MetaConfig(epochs=1, inner_first=inner), seed=4)
+            assert all(t.posterior is not None and len(t.stack) > 0 for t in tasks)
+        before = state()
+        meta_objective(fam, theta_p, tasks, inner, seed=0)
+        assert_untouched(before)
+        evaluate_prior(fam, tasks, theta_p, inner, seed=0)
+        assert_untouched(before)

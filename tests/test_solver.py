@@ -9,6 +9,7 @@ import pytest
 
 from pacbayes import (
     CatoniConfig,
+    ConfigError,
     CustomRisk,
     DomainError,
     EvalStack,
@@ -391,6 +392,56 @@ def test_solver_requires_identifiable_first_projection():
     cfg = small_config(n_initial_queries=2, n_queries_per_step=2)
     with pytest.raises(ValueError, match="n_initial_queries"):
         run_supac_ce(risk, fam, theta_p, theta_p, cfg, seed=3)
+
+
+def test_unsolvable_configs_fail_before_any_risk_query():
+    def never(x):
+        raise AssertionError("the risk was queried")
+
+    fam = GaussianFamily(3)  # dim 9
+    theta_p = standard_normal_params(fam)
+    risk = CustomRisk(never, 3)
+    for kwargs, field in (
+        (dict(weighting="exact1d"), "weighting"),
+        (dict(n_initial_queries=0), "n_initial_queries"),
+        (dict(n_initial_queries=5), "n_initial_queries"),
+        (dict(n_initial_queries=9, weighting="importance"), "n_initial_queries"),
+        (dict(query_schedule=(9, 40)), "query_schedule"),
+    ):
+        with pytest.raises(ConfigError, match=field) as info:
+            run_supac_ce(risk, fam, theta_p, theta_p, small_config(**kwargs), seed=0)
+        assert info.value.field == field
+    # a warm re-solve may draw nothing at its first step; a ledger too small
+    # to fit the first projection then fails there, saying how many it needs
+    stack = EvalStack(3).record(np.random.default_rng(0).standard_normal((5, 3)), np.zeros(5), 0)
+    cfg = small_config(n_initial_queries=0, n_queries_per_step=0)
+    with pytest.raises(ValueError, match=r"more than 9 distinct evaluations \(ledger holds 5\)"):
+        run_supac_ce(risk, fam, theta_p, theta_p, cfg, seed=0, stack=stack)
+
+
+def test_first_step_needs_one_more_evaluation_than_the_dimension():
+    # dim + 1 evaluations fit the first projection; dim do not
+    rng = np.random.default_rng(2)
+    fam3 = GaussianFamily(3)
+    risk3 = TanhSyntheticRisk(omega=2.0, a_matrix=np.eye(3), x0=rng.standard_normal(3))
+    fam1 = GaussianFamily(1)
+    risk1 = TanhSyntheticRisk(omega=2.0, a_matrix=np.eye(1), x0=np.array([0.7]))
+    for fam, risk, weighting in (
+        (fam3, risk3, "voronoi"),
+        (fam3, risk3, "importance"),
+        (fam1, risk1, "exact1d"),
+    ):
+        theta_p = standard_normal_params(fam)
+        for n_first, solves in ((fam.dim + 1, True), (fam.dim, False)):
+            cfg = small_config(
+                lam=0.05, n_initial_queries=n_first, max_steps=3, weighting=weighting
+            )
+            if solves:
+                theta, _, stack = run_supac_ce(risk, fam, theta_p, theta_p, cfg, seed=4)
+                assert fam.in_domain(theta) and len(stack) == n_first + 2 * 4
+            else:
+                with pytest.raises(ConfigError, match="n_initial_queries"):
+                    run_supac_ce(risk, fam, theta_p, theta_p, cfg, seed=4)
 
 
 def test_solver_trace_recording_does_not_affect_iterates():
