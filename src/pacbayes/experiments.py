@@ -37,7 +37,13 @@ import numpy as np
 from . import __version__
 from .baselines import GDConfig, run_gd
 from .families import ConfigError, GaussianFamily, params_to_json, standard_normal_params
-from .meta import MetaConfig, TaskEnvironment, run_meta_sgd, sample_synthetic_task
+from .meta import (
+    _SYNTHETIC_MIN_DIM,
+    MetaConfig,
+    TaskEnvironment,
+    run_meta_sgd,
+    sample_synthetic_task,
+)
 from .risk import risk_from_dict
 from .seeding import ROLE_TASK, child_int, child_seed
 from .solver import CatoniConfig, SolverTrace, _check_solvable, run_supac_ce
@@ -127,22 +133,33 @@ def _parse_params(spec, family, where):
     return theta
 
 
-def _build_risk(data, family, run_seed):
+def _require_synthetic_dim(family, where):
+    """Refuse a family that synthetic tasks cannot be drawn in, before any is drawn."""
+    if family.predictor_dim < _SYNTHETIC_MIN_DIM:
+        raise ConfigError(
+            f"{where}: synthetic tasks need predictor_dim >= {_SYNTHETIC_MIN_DIM}", field=where
+        )
+
+
+def _parse_risk(data, family):
+    """The risk of each repeat, as a function of the run seed."""
     if not isinstance(data, dict):
         raise ConfigError("'risk' must be an object", field="risk")
-    try:
-        if "sampled" not in data:
-            return risk_from_dict(data, family)
+    if "sampled" in data:
         if data != {"kind": "tanh_synthetic", "sampled": True}:
             raise ConfigError(
-                'sampled: a sampled risk is exactly {"kind": "tanh_synthetic", "sampled": true}',
-                field="sampled",
+                'risk.sampled: a sampled risk is exactly {"kind": "tanh_synthetic", "sampled": true}',
+                field="risk.sampled",
             )
-        return sample_synthetic_task(run_seed, family.predictor_dim).risk
+        _require_synthetic_dim(family, "risk")
+        return lambda run_seed: sample_synthetic_task(run_seed, family.predictor_dim).risk
+    try:
+        risk = risk_from_dict(data, family)
     except ConfigError as exc:
         raise ConfigError(f"risk.{exc}", field=f"risk.{exc.field}") from None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"risk: {exc}", field="risk") from None
+    return lambda run_seed: risk
 
 
 _TOP_KEYS = (
@@ -187,17 +204,25 @@ def _validate_top(config):
     return method, repeats, master_seed
 
 
-def _run_single(method, config, family, theta_p, theta0, run_seed):
-    """One repeat; returns a dict of artifact name -> writer callable."""
+def _parse_method(method, config, family, theta_p, theta0):
+    """Check the method's block and inputs once, before anything runs or is written.
+
+    Returns ``run(run_seed)``, which runs one repeat and returns its final
+    parameter and a dict of artifact name -> writer.
+    """
     if method == "supac_ce":
-        risk = _build_risk(_require(config, "risk", ""), family, run_seed)
+        risk_for = _parse_risk(_require(config, "risk", ""), family)
         solver_cfg = _catoni_from(_require(config, "supac_ce", ""), "supac_ce.", family)
-        theta, trace, stack = run_supac_ce(
-            risk, family, theta_p, theta0, solver_cfg, run_seed
-        )
-        return theta, {"trace": trace.to_csv, "stack": stack.to_csv}
+
+        def run(run_seed):
+            theta, trace, stack = run_supac_ce(
+                risk_for(run_seed), family, theta_p, theta0, solver_cfg, run_seed
+            )
+            return theta, {"trace": trace.to_csv, "stack": stack.to_csv}
+
+        return run
     if method in ("gd", "nesterov"):
-        risk = _build_risk(_require(config, "risk", ""), family, run_seed)
+        risk_for = _parse_risk(_require(config, "risk", ""), family)
         block = _object(_require(config, method, ""), method)
         where = method + "."
         objective_keys = {"lambda": "lam", "delta": None, "n_data": None, "c_range": None}
@@ -214,8 +239,14 @@ def _run_single(method, config, family, theta_p, theta0, run_seed):
         gd_cfg = _dataclass_from(GDConfig, block, where)
         if method == "nesterov" and not gd_cfg.momentum > 0:
             raise ConfigError("nesterov.momentum must be positive", field="nesterov.momentum")
-        theta, trace = run_gd(risk, family, theta_p, theta0, gd_cfg, catoni_cfg, run_seed)
-        return theta, {"trace": trace.to_csv}
+
+        def run(run_seed):
+            theta, trace = run_gd(
+                risk_for(run_seed), family, theta_p, theta0, gd_cfg, catoni_cfg, run_seed
+            )
+            return theta, {"trace": trace.to_csv}
+
+        return run
     # meta
     tasks_block = _object(_require(config, "tasks", ""), "tasks")
     _reject_unknown(tasks_block, ("n_tasks", "lambda"), "tasks.")
@@ -225,6 +256,7 @@ def _run_single(method, config, family, theta_p, theta0, run_seed):
     task_lam = tasks_block.get("lambda", 0.1)
     if isinstance(task_lam, bool) or not isinstance(task_lam, (int, float)) or not task_lam > 0:
         raise ConfigError("tasks.lambda must be a positive number", field="tasks.lambda")
+    _require_synthetic_dim(family, "tasks")
     block = _object(_require(config, "meta", ""), "meta")
     if "inner_first" not in block:
         raise ConfigError("meta.inner_first is required", field="meta.inner_first")
@@ -235,7 +267,8 @@ def _run_single(method, config, family, theta_p, theta0, run_seed):
             block["inner_warm"], "meta.inner_warm.", family, cold=False
         )
     meta_cfg = _dataclass_from(MetaConfig, block, "meta.")
-    try:
+
+    def run(run_seed):
         env = TaskEnvironment.sample(child_seed(run_seed, 0, ROLE_TASK), family.predictor_dim)
         tasks = [
             sample_synthetic_task(
@@ -243,10 +276,10 @@ def _run_single(method, config, family, theta_p, theta0, run_seed):
             )
             for i in range(n_tasks)
         ]
-    except ValueError as exc:
-        raise ConfigError(f"tasks: {exc}", field="tasks") from None
-    theta_prior, trace = run_meta_sgd(family, tasks, theta_p, meta_cfg, run_seed)
-    return theta_prior, {"meta_trace": trace.to_csv}
+        theta_prior, trace = run_meta_sgd(family, tasks, theta_p, meta_cfg, run_seed)
+        return theta_prior, {"meta_trace": trace.to_csv}
+
+    return run
 
 
 def _sha256(path):
@@ -293,6 +326,8 @@ def run_experiment(config, output_dir=None, master_seed=None):
     theta_p = _parse_params(config.get("prior"), family, "prior")
     theta0 = _parse_params(config.get("init"), family, "init") if "init" in config else theta_p
 
+    run = _parse_method(method, config, family, theta_p, theta0)
+
     out = Path(config.get("output_dir", "."))
     out.mkdir(parents=True, exist_ok=True)
     outputs = {}
@@ -300,7 +335,7 @@ def run_experiment(config, output_dir=None, master_seed=None):
     for rep in range(repeats):
         run_seed = seed0 + rep
         logger.info("run %d/%d (seed %d)", rep + 1, repeats, run_seed)
-        theta, writers = _run_single(method, config, family, theta_p, theta0, run_seed)
+        theta, writers = run(run_seed)
         for name, writer in writers.items():
             path = out / f"{name}_{rep:03d}.csv"
             writer(path)

@@ -9,13 +9,18 @@ envelope theorem collapses the meta gradient to the closed form
 so one mean-statistic evaluation per task posterior suffices.  Stochastic
 meta descent shuffles tasks into batches, re-solves each batch member (warm
 restarting from its previous posterior and ledger), and moves the prior under
-a KL trust region.
+a KL trust region.  The solves of one batch are independent given the
+prior, so :func:`run_meta_sgd` may hand them to forked worker processes.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import traceback
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -68,6 +73,10 @@ class TaskEnvironment:
         return cls(center=center, cov=0.5 * (cov + cov.T))
 
 
+# Synthetic tasks need a predictor of at least this dimension.
+_SYNTHETIC_MIN_DIM = 3
+
+
 @dataclass
 class TaskSpec:
     """One learning task: a risk, its temperature, and its reusable state."""
@@ -89,8 +98,8 @@ def sample_synthetic_task(seed, predictor_dim, env=None, lam=0.1):
     to learn.
     """
     k = int(predictor_dim)
-    if k < 3:
-        raise ValueError("synthetic tasks need predictor_dim >= 3")
+    if k < _SYNTHETIC_MIN_DIM:
+        raise ValueError(f"synthetic tasks need predictor_dim >= {_SYNTHETIC_MIN_DIM}")
     if env is None:
         env = TaskEnvironment.sample(child_seed(seed, 0, ROLE_TASK), k)
     elif env.predictor_dim != k:
@@ -172,6 +181,11 @@ def meta_objective(family, theta_p, tasks, inner_config, seed, n_eval=2000):
     fresh ledger, so the tasks are left untouched and the objective can be
     probed at several priors (e.g. for finite differences).  Only
     :func:`run_meta_sgd` stores posteriors and ledgers on tasks.
+
+    The solves run in this process, as :func:`evaluate_prior`'s do: callers
+    may wrap ``pacbayes.meta.run_supac_ce`` to collect every posterior (the
+    benchmark's held-out capture does), and a forked worker would collect
+    into its own copy.
     """
     total = 0.0
     for idx, task in enumerate(tasks):
@@ -237,6 +251,113 @@ class MetaTrace(RecordTable):
         return [out[e] for e in sorted(out)]
 
 
+def _visit(family, tasks, config, seed, epoch, theta_p, ti):
+    """Solve task ``ti`` of a meta batch from what its last visit stored.
+
+    A first visit solves from the prior with ``config.inner_first``; a later
+    one warm-restarts from the stored posterior and ledger with
+    ``config.inner_warm``.
+    """
+    task = tasks[ti]
+    inner = config.inner_first if task.posterior is None else config.inner_warm
+    return _solve_and_score(
+        family, task, ti, theta_p, inner, config.n_eval, seed, epoch, task.posterior, task.stack
+    )
+
+
+# Environment variables that set how many threads a process's BLAS runs.
+_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _batch_workers(n_tasks):
+    """How many forked processes solve a batch of ``n_tasks``; 1 means this process.
+
+    The CPUs this process may use, divided by the BLAS threads each process
+    runs (the largest of the BLAS thread variables that are set; with none
+    set, BLAS takes every CPU), and at most one process per task.  A process
+    that runs threads besides its main one cannot fork safely, so it solves
+    in process, as does a platform without ``fork``.
+    """
+    import multiprocessing
+    import threading
+
+    if n_tasks < 2 or threading.active_count() > 1:
+        return 1
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        cpus = os.cpu_count() or 1
+    threads = [os.environ.get(var, "") for var in _BLAS_THREAD_VARS]
+    blas_threads = max((int(t) for t in threads if t.isdigit() and int(t) > 0), default=cpus)
+    return max(1, min(cpus // blas_threads, n_tasks))
+
+
+def _portable(exc):
+    """``exc`` if it survives pickling both ways, else a RuntimeError with its traceback."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return RuntimeError("".join(traceback.format_exception(exc)))
+    return exc
+
+
+_worker_solve = None  # the batch's solve, in a forked worker
+
+
+def _start_worker(solve):
+    """Pool initializer: keep the solve that the forked worker inherited."""
+    global _worker_solve
+    _worker_solve = solve
+
+
+def _solve_in_worker(ti):
+    """``(result, None, None)``, or ``(None, error, cause)`` when the solve fails.
+
+    A failure is sent back as a value rather than raised, because the pool
+    would replace the error's cause with the worker's traceback.  The error
+    is the ValueError of :func:`_solve_and_score`, which always pickles.
+    """
+    try:
+        return _worker_solve(ti), None, None
+    except Exception as exc:
+        return None, exc, _portable(exc.__cause__)
+
+
+def _solve_batch(solve, batch):
+    """``[solve(ti) for ti in batch]``, over forked workers where :func:`_batch_workers` allows.
+
+    The workers are forked afresh for each batch with the ``fork`` start
+    method, so each inherits ``solve``, with the tasks and the prior it
+    reads, and nothing is pickled on the way in; only the results come back.
+    A failure raises the error of the earliest failing task in batch order,
+    chained to its cause as the in-process loop does.  A cause that cannot
+    be pickled and rebuilt (say an exception class whose constructor takes
+    two arguments) is chained as a RuntimeError holding its formatted
+    traceback.  A worker that dies raises ``BrokenProcessPool``.  Every
+    worker is joined before this returns or raises.
+    """
+    workers = _batch_workers(len(batch))
+    if workers == 1:
+        return [solve(ti) for ti in batch]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # Named, not defaulted: Python 3.14 changes the default on Linux to forkserver.
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(
+        workers, mp_context=context, initializer=_start_worker, initargs=(solve,)
+    ) as pool:
+        replies = list(pool.map(_solve_in_worker, batch))
+    results = []
+    for result, exc, cause in replies:
+        if exc is not None:
+            raise exc from cause
+        results.append(result)
+    return results
+
+
 def run_meta_sgd(family, tasks, theta_p0, config, seed):
     """Optimize the prior by batched meta gradient steps.
 
@@ -247,10 +368,25 @@ def run_meta_sgd(family, tasks, theta_p0, config, seed):
     moves against the batch-mean meta gradient, scaled by
     ``meta_step_size / mean(lam)`` and clipped to the KL trust region.
 
-    This is the one writer of task state: after each solve it stores the
-    task's posterior and its grown ledger on the task, so the next visit
-    warm-restarts from them.  The recorded ``meta_obj`` is the batch
-    estimate of the full task-sum objective.
+    The solves of a batch run in worker processes: one per CPU this process
+    may use, divided by the BLAS threads per process (read from
+    ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS``;
+    with none set, BLAS takes every CPU and the batch is solved here), and
+    at most one per task.  A process that runs other threads, or a platform
+    without ``fork``, solves in process.  The test suite and the benchmark
+    run BLAS at one thread.  The workers are forked afresh for each batch,
+    with the ``fork`` start method named explicitly (Python 3.14 changes
+    the Linux default), so tasks are never pickled and a risk holding a
+    lambda or a closure works.  A risk's side effects, such as a call
+    counter, then happen in the workers and are lost with them.  Each
+    solve's streams follow (seed, epoch, task index), whichever process
+    runs it.
+
+    This is the one writer of task state: after each batch it stores every
+    task's posterior and grown ledger on the task, in batch order, so the
+    next visit warm-restarts from them.  The recorded ``meta_obj`` is the
+    batch estimate of the full task-sum objective, summed in batch order, so
+    every result is the same bytes for any worker count.
 
     Returns
     -------
@@ -265,18 +401,14 @@ def run_meta_sgd(family, tasks, theta_p0, config, seed):
     for epoch in range(config.epochs):
         order = make_rng(seed, epoch, ROLE_SHUFFLE).permutation(len(tasks))
         for batch_idx in range(0, len(order), config.batch_size):
-            batch = order[batch_idx : batch_idx + config.batch_size]
+            batch = [int(ti) for ti in order[batch_idx : batch_idx + config.batch_size]]
+            solve = partial(_visit, family, tasks, config, seed, epoch, theta_p)
             objectives = []
-            for ti in batch:
-                task = tasks[int(ti)]
-                inner = config.inner_first if task.posterior is None else config.inner_warm
-                objective, task.posterior, task.stack = _solve_and_score(
-                    family, task, int(ti), theta_p, inner, config.n_eval, seed, epoch,
-                    task.posterior, task.stack,
-                )
+            for ti, (objective, posterior, stack) in zip(batch, _solve_batch(solve, batch)):
+                tasks[ti].posterior, tasks[ti].stack = posterior, stack
                 objectives.append(objective)
-            posteriors = [tasks[int(ti)].posterior for ti in batch]
-            lams = [tasks[int(ti)].lam for ti in batch]
+            posteriors = [tasks[ti].posterior for ti in batch]
+            lams = [tasks[ti].lam for ti in batch]
             grad = meta_gradient(family, theta_p, posteriors, lams) / len(batch)
             step_vec = -(config.meta_step_size / float(np.mean(lams))) * grad
             theta_p_new, _ = damped_update(
@@ -300,7 +432,8 @@ def evaluate_prior(family, tasks, theta_p, inner_config, seed, n_eval=10_000):
 
     Every task gets a full independent solve from the prior (fresh ledger;
     the task objects are not modified), and its objective is estimated with
-    ``n_eval`` fresh draws at the solved posterior.
+    ``n_eval`` fresh draws at the solved posterior.  The solves run in this
+    process (see :func:`meta_objective`).
     """
     scores = [
         _solve_and_score(family, task, idx, theta_p, inner_config, n_eval, seed, 1)[0]

@@ -1,5 +1,10 @@
 """Prior meta-optimization: synthetic tasks, meta gradient, meta descent."""
 
+import multiprocessing
+import os
+import threading
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
@@ -19,7 +24,7 @@ from pacbayes import (
     tasks_from_json,
     tasks_to_json,
 )
-from pacbayes.meta import MetaRecord, MetaTrace, TaskSpec, meta_gradient
+from pacbayes.meta import MetaRecord, MetaTrace, TaskSpec, _batch_workers, meta_gradient
 from pacbayes.risk import eval_risk
 
 from _oracles import fd_grad
@@ -346,3 +351,141 @@ def test_only_meta_sgd_writes_task_state():
         assert_untouched(before)
         evaluate_prior(fam, tasks, theta_p, inner, seed=0)
         assert_untouched(before)
+
+
+def synthetic_meta_run(n_tasks, batch_size, risk=None):
+    """A small Voronoi-weighted meta run; returns every array it leaves behind."""
+    fam = GaussianFamily(3, structure="full")
+    env = TaskEnvironment.sample(5, 3)
+    tasks = [sample_synthetic_task(100 + i, 3, env=env) for i in range(n_tasks)]
+    if risk is not None:
+        for task in tasks:
+            task.risk = risk
+    inner = CatoniConfig(
+        lam=0.1,
+        n_initial_queries=30,
+        n_queries_per_step=6,
+        n_mc_weights=200,
+        max_steps=3,
+        convergence_kl_tol=0.0,
+        record_trace=False,
+    )
+    cfg = MetaConfig(epochs=2, inner_first=inner, batch_size=batch_size, n_eval=50)
+    theta_p, trace = run_meta_sgd(fam, tasks, standard_normal_params(fam), cfg, seed=42)
+    arrays = [theta_p, trace.column("meta_obj"), trace.column("kl_step")]
+    arrays += [r.theta_p for r in trace.records]
+    for task in tasks:
+        arrays += [task.posterior, task.stack.points, task.stack.values, task.stack.steps]
+    return arrays
+
+
+def assert_same_bytes(arrays, reference):
+    assert len(arrays) == len(reference)
+    for a, b in zip(arrays, reference):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def test_meta_batches_fork_one_worker_per_cpu_and_blas_thread(cpus, monkeypatch):
+    cpus(4)
+    assert [_batch_workers(n) for n in (1, 2, 3, 5)] == [1, 2, 3, 4]
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert _batch_workers(5) == 2
+    # with no BLAS thread variable set, BLAS takes every CPU
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var)
+    assert _batch_workers(5) == 1
+    # a process that runs another thread is not forked
+    cpus(4)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert _batch_workers(5) == 1
+    finally:
+        stop.set()
+        thread.join()
+    assert _batch_workers(5) == 4
+
+
+@pytest.mark.parametrize(
+    "n_tasks, batch_size",
+    [(5, 3), (3, 2)],  # batches of 3 and 2 tasks; batches of 2 and 1
+)
+def test_meta_sgd_gives_the_same_bytes_for_any_worker_count(cpus, n_tasks, batch_size):
+    cpus(1)
+    reference = synthetic_meta_run(n_tasks, batch_size)
+    for workers in (2, 3):
+        cpus(workers)
+        assert_same_bytes(synthetic_meta_run(n_tasks, batch_size), reference)
+    assert multiprocessing.active_children() == []
+
+
+def test_meta_sgd_workers_run_a_risk_that_cannot_be_pickled(cpus):
+    # the workers are forked, so the lambda is inherited, never pickled
+    parent = os.getpid()
+
+    def outside_parent(x):
+        assert os.getpid() != parent, "a batch task was solved in the calling process"
+        return np.tanh(0.1 * np.sum((x - 0.5) ** 2, axis=1))
+
+    cpus(1)
+    risk = CustomRisk(lambda x: np.tanh(0.1 * np.sum((x - 0.5) ** 2, axis=1)), 3)
+    reference = synthetic_meta_run(4, 4, risk=risk)
+    cpus(2)
+    assert_same_bytes(synthetic_meta_run(4, 4, risk=risk), reference)
+    assert_same_bytes(synthetic_meta_run(4, 4, risk=CustomRisk(outside_parent, 3)), reference)
+
+
+def test_meta_sgd_worker_failures_name_the_task_and_leave_no_process(cpus):
+    fam = GaussianFamily(1)
+    theta_p = standard_normal_params(fam)
+    cfg = MetaConfig(epochs=1, inner_first=exact_inner_config(0.5), batch_size=4)
+
+    def tasks_with(failing, bad_indices):
+        tasks = quadratic_tasks(fam, [np.array([0.1, 0.0])] * 4, [0.5] * 4)
+        for idx in bad_indices:
+            tasks[idx].risk = CustomRisk(failing, 1)
+        return tasks
+
+    def run(tasks, workers, error=ValueError):
+        cpus(workers)
+        with pytest.raises(error) as info:
+            run_meta_sgd(fam, tasks, theta_p, cfg, seed=0)
+        assert multiprocessing.active_children() == []
+        return info.value
+
+    def unavailable(x):
+        raise ConnectionError("risk backend unavailable")
+
+    error = run(tasks_with(unavailable, [2]), workers=2)
+    assert "task 2" in str(error) and "risk backend unavailable" in str(error)
+    assert isinstance(error.__cause__, ConnectionError)
+    assert str(error.__cause__) == "risk backend unavailable"
+    # with two failing tasks, the one the in-process loop meets first is named
+    for bad in ([0, 3], [1, 2], [0, 1, 2, 3]):
+        in_process = run(tasks_with(unavailable, bad), workers=1)
+        assert str(run(tasks_with(unavailable, bad), workers=2)) == str(in_process)
+
+    # an error class whose constructor takes two arguments cannot be rebuilt
+    # from its pickle, so the worker chains a RuntimeError with its traceback
+    class BackendError(Exception):
+        def __init__(self, code, detail):
+            super().__init__(f"{code}: {detail}")
+
+    def failing_backend(x):
+        raise BackendError(503, "risk backend unavailable")
+
+    error = run(tasks_with(failing_backend, [1]), workers=2)
+    assert "task 1" in str(error) and "503: risk backend unavailable" in str(error)
+    assert isinstance(error.__cause__, RuntimeError)
+    assert "BackendError: 503: risk backend unavailable" in str(error.__cause__)
+
+    # a worker that dies without a result breaks the pool, and every worker is joined
+    parent = os.getpid()
+
+    def exit_in_worker(x):
+        assert os.getpid() != parent, "a batch task was solved in the calling process"
+        os._exit(3)
+
+    run(tasks_with(exit_in_worker, [0]), workers=2, error=BrokenProcessPool)

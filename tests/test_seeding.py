@@ -97,7 +97,7 @@ def test_streams_of_one_solve_are_pairwise_distinct(monkeypatch):
     _assert_pairwise_distinct(derived, bare)
 
 
-def test_streams_of_one_meta_run_are_pairwise_distinct(monkeypatch):
+def test_streams_of_one_meta_run_are_pairwise_distinct(monkeypatch, cpus):
     # Shuffles, inner-solve seeds, their batches and draw sets, the
     # objective estimates, and the bare stream of every seed used.
     fam = GaussianFamily(3, structure="full")
@@ -112,6 +112,10 @@ def test_streams_of_one_meta_run_are_pairwise_distinct(monkeypatch):
         convergence_kl_tol=0.0,
         record_trace=False,
     )
+    # One CPU, so no worker is forked: the recorder sees only the streams
+    # derived in this process.  test_meta_sgd_gives_the_same_bytes_for_any_worker_count
+    # shows that worker processes derive the same ones.
+    cpus(1)
     config = MetaConfig(epochs=2, inner_first=inner, batch_size=2, n_eval=50)
     derived, bare = _derived_streams(monkeypatch)
     run_meta_sgd(fam, tasks, standard_normal_params(fam), config, seed=42)
