@@ -30,6 +30,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import os
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ from . import __version__
 from .baselines import GDConfig, run_gd
 from .families import ConfigError, GaussianFamily, params_to_json, standard_normal_params
 from .meta import (
+    _BLAS_THREAD_VARS,
     _SYNTHETIC_MIN_DIM,
     MetaConfig,
     TaskEnvironment,
@@ -306,7 +308,9 @@ def run_experiment(config, output_dir=None, master_seed=None):
     Returns
     -------
     dict
-        The manifest, also written to ``<output_dir>/manifest.json``.
+        The manifest, also written to ``<output_dir>/manifest.json``.  Its
+        ``blas_threads`` maps ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS``
+        and ``MKL_NUM_THREADS`` to their values during the run, or None.
     """
     if isinstance(config, (str, Path)):
         with open(config) as fh:
@@ -345,6 +349,9 @@ def run_experiment(config, output_dir=None, master_seed=None):
         outputs[param_path.name] = _sha256(param_path)
 
     manifest = {
+        # The written bytes can depend on the BLAS thread count, so the
+        # manifest says what the run saw (null where a variable is unset).
+        "blas_threads": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
         "config": config,
         "package_version": __version__,
         "quantile_method": "linear",

@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -75,31 +75,64 @@ def _read_only(array):
     return array
 
 
+def cho_factor(a):
+    """Lower Cholesky factor of the finite float64 matrix ``a``, or LinAlgError.
+
+    Calls LAPACK's ``dpotrf`` with the arguments that
+    ``scipy.linalg.cho_factor(a, lower=True)`` passes, so the factor has the
+    same bits, without that function's per-call checks.  The factor is
+    Fortran-ordered, and its strict upper triangle keeps ``a``'s entries.
+    Every factorization in this module goes through this name, so wrapping
+    it counts them.
+    """
+    factor, info = dpotrf(a, lower=1, clean=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor is not positive definite")
+    return factor
+
+
+def _cho_solve(factor, b):
+    """``scipy.linalg.cho_solve((factor, True), b)`` by LAPACK's ``dpotrs``, unchecked."""
+    return dpotrs(factor, b, lower=1)[0]
+
+
+def _solve_lower(factor, b):
+    """``scipy.linalg.solve_triangular(factor, b, lower=True)`` by LAPACK's ``dtrtrs``.
+
+    ``factor`` is a finite lower-triangular float64 matrix with a positive
+    diagonal.  LAPACK reads Fortran order, so a C-ordered factor (as
+    ``numpy.linalg.cholesky`` returns) is passed as its transpose, an upper
+    factor, and solved transposed, the call scipy makes for it.
+    """
+    if factor.flags.f_contiguous:
+        return dtrtrs(factor, b, lower=1)[0]
+    return dtrtrs(factor.T, b, lower=0, trans=1)[0]
+
+
 class _Factored:
     """One natural parameter inside the domain, factored once.
 
-    Holds the Cholesky factor of the precision and b = Lambda mu; the mean,
-    the covariance, g(theta) and the covariance's Cholesky factor are each
-    computed on first use.  Every array is read-only, so a caller cannot
+    Holds the lower Cholesky factor of the precision and b = Lambda mu; the
+    mean, the covariance, g(theta) and the covariance's Cholesky factor are
+    each computed on first use.  Every array is read-only, so a caller cannot
     change what later calls read.
     """
 
     def __init__(self, factor, b):
-        _read_only(factor[0])
-        self.factor, self.b = factor, _read_only(b)
+        self.factor, self.b = _read_only(factor), _read_only(b)
 
     @cached_property
     def mean(self):
-        return _read_only(cho_solve(self.factor, self.b))
+        return _read_only(_cho_solve(self.factor, self.b))
 
     @cached_property
     def cov(self):
-        cov = cho_solve(self.factor, np.eye(self.b.size))
+        cov = _cho_solve(self.factor, np.eye(self.b.size))
         return _read_only(0.5 * (cov + cov.T))
 
     @cached_property
     def log_partition(self):
-        logdet = 2.0 * float(np.sum(np.log(np.diag(self.factor[0]))))
+        logdet = 2.0 * float(np.sum(np.log(np.diag(self.factor))))
         return float(0.5 * self.b @ self.mean - 0.5 * logdet + 0.5 * self.b.size * _LOG_2PI)
 
     @cached_property
@@ -224,7 +257,7 @@ class GaussianFamily:
                 raise DomainError("natural parameter contains non-finite entries")
             lam, b = self.precision_mean_form(theta)
             try:
-                record = _Factored(cho_factor(lam, lower=True), b)
+                record = _Factored(cho_factor(lam), b)
             except np.linalg.LinAlgError:
                 raise DomainError("precision matrix is not positive definite") from None
         memo[key] = record
@@ -278,6 +311,8 @@ class GaussianFamily:
             raise ValueError(f"mean must have shape ({k},)")
         if cov.shape != (k, k):
             raise ValueError(f"cov must have shape ({k}, {k})")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+            raise ValueError("mean and cov must be finite")
         if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-10 * max(1.0, np.abs(cov).max())):
             raise ValueError("cov must be symmetric")
         allowed = np.zeros((k, k), dtype=bool)
@@ -292,10 +327,10 @@ class GaussianFamily:
             ix = np.ix_(block, block)
             sub = 0.5 * (cov[ix] + cov[ix].T)
             try:
-                factor = cho_factor(sub, lower=True)
+                factor = cho_factor(sub)
             except np.linalg.LinAlgError:
                 raise ValueError("cov must be positive definite") from None
-            lam[ix] = cho_solve(factor, np.eye(len(block)))
+            lam[ix] = _cho_solve(factor, np.eye(len(block)))
         lam = 0.5 * (lam + lam.T)
         b = lam @ mean
         diag_pair = self._qi == self._qj

@@ -20,13 +20,11 @@ from dataclasses import dataclass, fields
 from numbers import Integral, Real
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .families import ConfigError, DomainError, params_from_json
+from .families import ConfigError, DomainError, _solve_lower, params_from_json
 from .risk import EvalStack, eval_risk
 from .seeding import ROLE_DRAW, ROLE_EVAL, ROLE_WEIGHTS, child_seed
 from .weighting import (
-    GRAM_CONDITION_LIMIT,
     _DrawSet,
     _NearestPoints,
     exact_voronoi_weights_1d,
@@ -198,12 +196,12 @@ def _ray_kl(family, theta, delta):
     domain raises :class:`DomainError` from the factorization.
     """
     factored = family._factor(theta)
-    chol, b0, k = factored.factor[0], factored.b, family.predictor_dim
+    chol, b0, k = factored.factor, factored.b, family.predictor_dim
     d_lam, d_b = family.precision_mean_form(delta)
     # L^-1 [dLambda | b_0 | db] in one solve; theta and delta are finite here.
     rhs = np.column_stack([d_lam, b0, d_b])
-    white = solve_triangular(chol, rhs, lower=True, check_finite=False)
-    step = solve_triangular(chol, white[:, :k].T, lower=True, check_finite=False)
+    white = _solve_lower(chol, rhs)
+    step = _solve_lower(chol, white[:, :k].T)
     eig, vecs = np.linalg.eigh(step)
     c0, dc = (vecs.T @ white[:, k:]).T
 
@@ -473,15 +471,16 @@ def run_supac_ce(risk, family, theta_p, theta0, config, seed, stack=None):
             # Free the weigher before the report builds the next one.
             weights, weigh = weigh(stack), None
             fit = project(stack, weights, family, theta)
-            if step == 0 and not (
-                np.isfinite(fit.gram_condition) and fit.gram_condition <= GRAM_CONDITION_LIMIT
-            ):
+            if step == 0 and fit.ridged:
                 raise ValueError(
                     "projection Gram matrix is ill conditioned at the first step; "
                     f"need more than {family.dim} distinct evaluations "
                     f"(ledger holds {len(stack)}); increase n_initial_queries"
                 )
             theta_cand = surrogate_argmin(theta_p, fit.eta, config.lam)
+            # The fit keeps the ledger's arrays alive for its diagnostics;
+            # drop it before the next step allocates.
+            del fit
             theta_next, alpha = damped_update(
                 family, theta, theta_cand, config.kl_max, config.alpha_max
             )

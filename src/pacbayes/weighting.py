@@ -10,23 +10,32 @@ yields the surrogate coefficients the solver minimizes in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dtrtri
+
+from .families import _solve_lower
 
 # Gram condition number beyond which a ridge is added before solving.
 GRAM_CONDITION_LIMIT = 1e12
+# A Cholesky bound on the condition number (see _needs_ridge) of at most this
+# rules out a ridge.  The factor 1/2 absorbs the rounding of the bound and of
+# the eigenvalues, so every decision is the one the eigenvalues give.
+_CERTIFIED_CONDITION = 0.5 * GRAM_CONDITION_LIMIT
 _RIDGE_SCALE = 1e-10
 # Scores per (draws x scored points) block in the 1-NN search: 0.5 MB of
 # float32, so each block stays in cache while it is built and reduced.
 _CHUNK_BUDGET = 131_072
 
 
-@dataclass(frozen=True, eq=False)
 class SurrogateFit:
     """Result of projecting risk values onto span(1, T).
+
+    The two diagnostics are computed the first time they are read, from the
+    arrays the fit was solved with, so a solve that never reads them never
+    pays for them.
 
     Attributes
     ----------
@@ -34,17 +43,27 @@ class SurrogateFit:
         Coefficients on the sufficient statistic.
     offset : float
         Constant coordinate of the projection.
+    ridged : bool
+        Whether a ridge was added to the Gram matrix before solving.
     weighted_rss : float
         Weight-averaged squared residual of the fit.
     gram_condition : float
         Condition number of the (scaled, centered) Gram matrix before any
-        ridge is applied.
+        ridge is applied, from its eigenvalues.
     """
 
-    eta: np.ndarray
-    offset: float
-    weighted_rss: float
-    gram_condition: float
+    def __init__(self, eta, offset, ridged, gram, wn, t, y):
+        self.eta, self.offset, self.ridged = eta, offset, ridged
+        self._gram, self._wn, self._t, self._y = gram, wn, t, y
+
+    @cached_property
+    def weighted_rss(self):
+        resid = self._y - (self._t @ self.eta + self.offset)
+        return float(self._wn @ (resid * resid))
+
+    @cached_property
+    def gram_condition(self):
+        return _eigen_condition(self._gram)
 
 
 class _DrawSet:
@@ -139,7 +158,7 @@ class _NearestPoints:
     def _add_rows(self, points, is_copy):
         start = self._n_rows
         self._n_rows += len(points)
-        xw = solve_triangular(self._chol, (points - self._mean).T, lower=True).T
+        xw = _solve_lower(self._chol, (points - self._mean).T).T
         # ||x - z||^2 = ||x||^2 - 2 x.z + ||z||^2; the last term is constant
         # per draw and cannot change the argmin over stored points.
         xn2 = np.sum(xw * xw, axis=1)
@@ -332,6 +351,33 @@ def importance_weights(stack, family, theta, generation_params):
     return w / w.sum()
 
 
+def _eigen_condition(gram):
+    """Condition number of a symmetric positive semi-definite ``gram``.
+
+    It is the ratio of the extreme eigenvalues' magnitudes, with no SVD, and
+    inf when the least one is zero.
+    """
+    eig = np.abs(np.linalg.eigvalsh(gram))
+    return float(eig.max()) / float(eig.min()) if eig.min() > 0 else np.inf
+
+
+def _needs_ridge(gram):
+    """Whether the condition number of ``gram`` is not finite or exceeds the limit.
+
+    With G = L L^T, the bound trace(G) trace(G^-1) = trace(G) ||L^-1||_F^2 is
+    at least cond(G) and at most dim^2 cond(G).  It costs one Cholesky
+    factorization and one triangular inverse, against an eigendecomposition;
+    when it is at most half the limit no ridge is needed.  Otherwise, or if
+    the factorization fails, the eigenvalues decide.
+    """
+    factor, info = dpotrf(gram, lower=1, clean=1)
+    if info == 0:
+        inverse, info = dtrtri(factor, lower=1)
+        if info == 0 and np.trace(gram) * np.vdot(inverse, inverse) <= _CERTIFIED_CONDITION:
+            return False
+    return not _eigen_condition(gram) <= GRAM_CONDITION_LIMIT
+
+
 def project(stack, weights, family, theta):
     """Weighted least-squares projection of the stored risks onto span(1, T).
 
@@ -340,7 +386,9 @@ def project(stack, weights, family, theta):
     Fisher diagonal at ``theta`` before solving, which preconditions the Gram
     matrix in the metric the surrogate is used in.  A ridge of
     ``1e-10 * trace / dim`` is added only when the scaled Gram condition
-    number exceeds 1e12.
+    number exceeds 1e12.  A Cholesky bound on that number settles most
+    calls without an eigendecomposition (see :func:`_needs_ridge`); the
+    fit's ``gram_condition`` and ``weighted_rss`` are computed when read.
 
     Returns
     -------
@@ -365,25 +413,17 @@ def project(stack, weights, family, theta):
     z /= scale
     gram = z.T @ (wn[:, None] * z)
     rhs = z.T @ (wn * (y - y_bar))
-    # The Gram matrix is symmetric positive semi-definite: its condition
-    # number is the ratio of its extreme eigenvalues, with no SVD.
-    eig = np.abs(np.linalg.eigvalsh(gram))
-    gram_condition = float(eig.max()) / float(eig.min()) if eig.min() > 0 else np.inf
-    if not np.isfinite(gram_condition) or gram_condition > GRAM_CONDITION_LIMIT:
+    ridged = _needs_ridge(gram)
+    solved = gram
+    if ridged:
         ridge = _RIDGE_SCALE * np.trace(gram) / family.dim
-        gram = gram + ridge * np.eye(family.dim)
+        solved = gram + ridge * np.eye(family.dim)
     try:
-        eta_scaled = np.linalg.solve(gram, rhs)
+        eta_scaled = np.linalg.solve(solved, rhs)
     except np.linalg.LinAlgError:
         raise ValueError(
             "projection Gram matrix is singular; provide more distinct evaluation points"
         ) from None
     eta = eta_scaled / scale
     offset = y_bar - float(t_bar @ eta)
-    resid = y - (t @ eta + offset)
-    return SurrogateFit(
-        eta=eta,
-        offset=offset,
-        weighted_rss=float(wn @ (resid * resid)),
-        gram_condition=gram_condition,
-    )
+    return SurrogateFit(eta, offset, ridged, gram, wn, t, y)

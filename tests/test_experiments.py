@@ -155,6 +155,18 @@ def test_rerun_from_manifest_reproduces_outputs(tmp_path):
     assert first["outputs"] == second["outputs"]
 
 
+def test_manifest_records_the_blas_thread_variables(tmp_path, monkeypatch):
+    # The digests can depend on the BLAS thread count, so the manifest
+    # records each thread variable as the run saw it, and null when unset.
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    manifest = run_experiment(supac_config(tmp_path, repeats=1))
+    want = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "3", "MKL_NUM_THREADS": None}
+    assert manifest["blas_threads"] == want
+    assert json.loads((tmp_path / "manifest.json").read_text())["blas_threads"] == want
+
+
 def test_gd_and_nesterov_methods_run(tmp_path):
     cfg = {
         "method": "gd",

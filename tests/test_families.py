@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pacbayes import DomainError, GaussianFamily, standard_normal_params
+from pacbayes import families as fmod
 from pacbayes.families import params_from_json, params_to_json
 
 from _oracles import (
@@ -411,7 +413,7 @@ def test_factorization_memo_is_keyed_by_bytes_and_read_only():
     # cached arrays refuse writes, so no caller can change what later calls read
     factored = fam._factor(theta)
     moments = fam.moments_from_natural(theta)
-    for array in (moments.mean, moments.cov, factored.factor[0], factored.b, factored.cov_factor):
+    for array in (moments.mean, moments.cov, factored.factor, factored.b, factored.cov_factor):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
@@ -443,3 +445,48 @@ def test_factorization_memo_keeps_no_failure():
                     call(bad)
             assert not fam.in_domain(bad)
             assert list(fam._memo) == [good.tobytes()]
+
+
+def test_lapack_calls_give_the_bits_of_scipys_wrappers():
+    # The family calls LAPACK's potrf, potrs and trtrs with the arguments
+    # scipy's cho_factor, cho_solve and solve_triangular pass, so each result
+    # is the same array, bit for bit, as scipy's.
+    rng = np.random.default_rng(97)
+
+    def same(got, want):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    for k in range(1, 11):
+        for _ in range(10):
+            a = random_spd(rng, k, scale=np.exp(rng.uniform(-3.0, 3.0)))
+            factor = fmod.cho_factor(a)
+            want, lower = scipy.linalg.cho_factor(a, lower=True)
+            assert lower and factor.flags.f_contiguous
+            same(factor, want)
+            # numpy's factor is C-ordered (both orders at k = 1)
+            c_factor = np.linalg.cholesky(a)
+            rhs = [
+                rng.standard_normal(k),
+                rng.standard_normal((k, 3)),
+                np.eye(k),
+                # the search's whitening block: (points - mean).T, Fortran-ordered
+                (rng.standard_normal((int(rng.integers(1, 300)), k)) - rng.standard_normal(k)).T,
+            ]
+            for b in rhs:
+                same(fmod._cho_solve(factor, b), scipy.linalg.cho_solve((want, True), b))
+                for lower_factor in (factor, c_factor):
+                    same(
+                        fmod._solve_lower(lower_factor, b),
+                        scipy.linalg.solve_triangular(lower_factor, b, lower=True),
+                    )
+    for not_pd in (-np.eye(3), np.diag([1.0, 0.0, 1.0])):
+        with pytest.raises(np.linalg.LinAlgError):
+            fmod.cho_factor(not_pd)
+
+
+def test_natural_from_moments_rejects_non_finite_moments():
+    fam = GaussianFamily(2)
+    for mean, cov in (([0.0, np.nan], np.eye(2)), ([0.0, 0.0], np.diag([1.0, np.inf]))):
+        with pytest.raises(ValueError, match="finite"):
+            fam.natural_from_moments(mean, cov)

@@ -198,6 +198,41 @@ def test_ray_kl_matches_family_kl():
     assert inside > 200 and outside > 200
 
 
+def test_ray_kl_gives_the_bits_of_scipys_triangular_solves():
+    # _ray_kl's two solves call LAPACK's trtrs directly; the same formula
+    # through scipy's wrappers gives the same KL at every trial, bit for bit.
+    from scipy.linalg import cho_factor, solve_triangular
+
+    def reference(fam, theta, delta):
+        k = fam.predictor_dim
+        chol = cho_factor(fam.precision_mean_form(theta)[0], lower=True)[0]
+        d_lam, d_b = fam.precision_mean_form(delta)
+        rhs = np.column_stack([d_lam, fam.precision_mean_form(theta)[1], d_b])
+        white = solve_triangular(chol, rhs, lower=True, check_finite=False)
+        step = solve_triangular(chol, white[:, :k].T, lower=True, check_finite=False)
+        eig, vecs = np.linalg.eigh(step)
+        c0, dc = (vecs.T @ white[:, k:]).T
+
+        def kl(alpha):
+            s = 1.0 + alpha * eig
+            if not np.all(s > 0):
+                return None
+            r = (c0 + alpha * dc) / s - c0
+            return 0.5 * float(np.sum(1.0 / s) - eig.size + r @ r + np.sum(np.log(s)))
+
+        return kl
+
+    rng = np.random.default_rng(62)
+    for k in range(1, 11):
+        fam = GaussianFamily(k, structure="full")
+        for _ in range(5):
+            theta = random_theta(fam, rng)
+            delta = rng.uniform(-2.0, 2.0) * random_theta(fam, rng) - theta
+            got, want = _ray_kl(fam, theta, delta), reference(fam, theta, delta)
+            for alpha in rng.uniform(0.0, 3.0, size=6):
+                assert got(alpha) == want(alpha)
+
+
 def _bisection_over_kl(family, theta, theta_cand, kl_max, alpha_max):
     """The trust-region step as a bisection calling ``family.kl`` at every trial."""
     delta = theta_cand - theta

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrf
 from scipy.special import ndtr
 
 from pacbayes import (
+    CatoniConfig,
     EvalStack,
     GaussianFamily,
     QuadraticRisk,
@@ -14,7 +16,12 @@ from pacbayes import (
     voronoi_weights,
 )
 from pacbayes.risk import eval_risk
-from pacbayes.weighting import GRAM_CONDITION_LIMIT, exact_voronoi_weights_1d
+from pacbayes.solver import run_supac_ce
+from pacbayes.weighting import (
+    _CERTIFIED_CONDITION,
+    GRAM_CONDITION_LIMIT,
+    exact_voronoi_weights_1d,
+)
 
 from _oracles import gauss_nodes, quad_projection, random_spd, random_theta
 
@@ -653,6 +660,139 @@ def test_project_reports_condition_and_applies_ridge_when_degenerate():
     good = stack_from_points(rng.standard_normal((30, 1)), rng.standard_normal(30))
     fit_good = project(good, np.ones(30), fam, theta=standard_normal_params(fam))
     assert fit_good.gram_condition < 1e4
+
+
+def _eigenvalue_rule_fit(stack, weights, family, theta):
+    """The projection with the eigenvalues deciding every ridge, computed eagerly.
+
+    Returns the fit's fields and the scaled Gram matrix before any ridge.
+    """
+    wn = np.asarray(weights, dtype=float)
+    wn = wn / wn.sum()
+    t = family.suff_stat(stack.points)
+    y = stack.values
+    t_bar = wn @ t
+    y_bar = float(wn @ y)
+    scale = np.sqrt(family._fisher_diag(theta))
+    scale = np.where(scale > 0, scale, 1.0)
+    z = t - t_bar
+    z /= scale
+    gram = z.T @ (wn[:, None] * z)
+    rhs = z.T @ (wn * (y - y_bar))
+    eig = np.abs(np.linalg.eigvalsh(gram))
+    condition = float(eig.max()) / float(eig.min()) if eig.min() > 0 else np.inf
+    ridged = not np.isfinite(condition) or condition > GRAM_CONDITION_LIMIT
+    solved = gram + 1e-10 * np.trace(gram) / family.dim * np.eye(family.dim) if ridged else gram
+    eta = np.linalg.solve(solved, rhs) / scale
+    offset = y_bar - float(t_bar @ eta)
+    resid = y - (t @ eta + offset)
+    fields = dict(
+        eta=eta,
+        offset=offset,
+        ridged=ridged,
+        weighted_rss=float(wn @ (resid * resid)),
+        gram_condition=condition,
+    )
+    return fields, gram
+
+
+def _certified(gram):
+    """Whether the Cholesky bound on cond(gram) decides without eigenvalues."""
+    factor, info = dpotrf(gram, lower=1, clean=1)
+    if info != 0:
+        return False
+    inverse = np.linalg.inv(np.tril(factor))
+    return np.trace(gram) * np.sum(inverse * inverse) <= _CERTIFIED_CONDITION
+
+
+def _clustered(spread, n=40):
+    """1-D points 1 + spread u: x and x^2 grow collinear as the spread shrinks."""
+    u = np.random.default_rng(37).standard_normal((n, 1))
+    return stack_from_points(1.0 + spread * u, np.sin(7.0 * u[:, 0]))
+
+
+@pytest.mark.parametrize(
+    "case, certified, ridged",
+    [
+        ("well conditioned", True, False),
+        ("well conditioned, k = 3", True, False),
+        ("two distinct points", False, True),
+        ("cond in (bound margin, limit]", False, False),
+        ("cond above the limit", False, True),
+        ("rank deficient", False, True),
+    ],
+)
+def test_projection_certificate_decides_as_the_eigenvalues(case, certified, ridged):
+    rng = np.random.default_rng(41)
+    fam = GaussianFamily(1)
+    if case == "well conditioned":
+        stack = stack_from_points(rng.standard_normal((30, 1)), rng.standard_normal(30))
+    elif case == "well conditioned, k = 3":
+        fam = GaussianFamily(3, structure="full")
+        stack = stack_from_points(rng.standard_normal((60, 3)), rng.standard_normal(60))
+    elif case == "two distinct points":
+        stack = stack_from_points([[0.0], [1.0], [1.0]], [0.0, 1.0, 1.0])
+    elif case == "cond in (bound margin, limit]":
+        stack = _clustered(4.4e-6)
+    elif case == "cond above the limit":
+        stack = _clustered(1e-6)
+    else:
+        # x_2 = 0 on every row: two zero columns, and the Cholesky factorization fails.
+        fam = GaussianFamily(2, structure="diag")
+        pts = np.column_stack([rng.standard_normal(20), np.zeros(20)])
+        stack = stack_from_points(pts, rng.standard_normal(20))
+    theta = standard_normal_params(fam)
+    weights = rng.uniform(0.5, 2.0, size=len(stack))
+    want, gram = _eigenvalue_rule_fit(stack, weights, fam, theta)
+    assert _certified(gram) == certified and want["ridged"] == ridged
+    if case == "cond in (bound margin, limit]":
+        assert _CERTIFIED_CONDITION < want["gram_condition"] <= GRAM_CONDITION_LIMIT
+    if case == "rank deficient":
+        assert dpotrf(gram, lower=1)[1] > 0
+    fit = project(stack, weights, fam, theta)
+    assert fit.ridged == want["ridged"]
+    assert np.array_equal(fit.eta, want["eta"]) and fit.offset == want["offset"]
+    # the diagnostics, computed when read, are the eager values
+    assert fit.weighted_rss == want["weighted_rss"]
+    assert fit.gram_condition == want["gram_condition"]
+
+
+def test_untraced_solves_skip_the_eigendecomposition(monkeypatch):
+    # The certificate settles every well-conditioned step, and the solver
+    # reads no diagnostic, so a solve calls eigvalsh at most once.
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    fam = GaussianFamily(3, structure="full")
+    theta_p = standard_normal_params(fam)
+    risk = QuadraticRisk(fam, eta=0.3 * np.ones(fam.dim), offset=0.1)
+    solves = 0
+    for weighting in ("importance", "voronoi"):
+        for record_trace in (True, False):
+            config = CatoniConfig(
+                lam=0.1,
+                n_initial_queries=40,
+                n_queries_per_step=8,
+                n_mc_weights=2000,
+                max_steps=12,
+                convergence_kl_tol=0.0,
+                weighting=weighting,
+                record_trace=record_trace,
+            )
+            calls.clear()
+            run_supac_ce(risk, fam, theta_p, theta_p, config, seed=solves)
+            assert len(calls) <= 1
+            solves += 1
+    # the patch sees the projection's eigenvalues when a diagnostic is read
+    stack = stack_from_points(np.random.default_rng(43).standard_normal((30, 3)))
+    fit = project(stack, np.ones(30), fam, theta_p)
+    calls.clear()
+    assert fit.gram_condition == fit.gram_condition and len(calls) == 1
 
 
 def test_project_weight_validation():
