@@ -61,6 +61,9 @@ def main(argv=None):
     except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # a config that cannot be read (a directory, say) is invalid
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if exc.filename == getattr(args, "config", None) else 1
     except Exception as exc:  # runtime failure
         print(f"error: {exc}", file=sys.stderr)
         return 1

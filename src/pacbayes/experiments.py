@@ -298,8 +298,8 @@ def run_experiment(config, output_dir=None, master_seed=None):
     Parameters
     ----------
     config : dict or str or pathlib.Path
-        Config object, path to a config JSON file, or a manifest (an object
-        with a "config" key), in which case the embedded config is re-run.
+        Config object, path to a JSON file (ConfigError if it is not JSON),
+        or a manifest (an object with a "config" key) whose config is re-run.
     output_dir : str, optional
         Overrides the config's ``output_dir``.
     master_seed : int, optional
@@ -314,7 +314,10 @@ def run_experiment(config, output_dir=None, master_seed=None):
     """
     if isinstance(config, (str, Path)):
         with open(config) as fh:
-            config = json.load(fh)
+            try:
+                config = json.load(fh)
+            except ValueError as exc:  # not JSON, or not text
+                raise ConfigError(f"{config}: not a JSON file ({exc})", field="") from None
     if isinstance(config, dict) and "config" in config and "method" not in config:
         config = config["config"]
     if not isinstance(config, dict):

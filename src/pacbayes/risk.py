@@ -187,13 +187,12 @@ class EvalStack:
     """Append-only ledger of risk evaluations.
 
     Each entry stores the predictor, its risk value and the solver step that
-    paid for it.  ``query_count`` is the budget actually spent; reuse of old
-    entries is free.  ``generation_params`` maps a step to the natural
-    parameter its batch was drawn from, when the recorder gave one; it is
-    kept in memory only, so a ledger read back from CSV has none.  The log
-    density of each entry under the parameter that drew its batch is
-    memoised the same way, one float per stored entry.  While a solve holds
-    the ledger (:meth:`_holding_suff_stat`), T(x) of each entry is kept too.
+    paid for it; each step is charged once.  ``query_count`` is the budget
+    actually spent; reuse of old entries is free.  ``generation_params``
+    maps a step to the natural parameter its batch was drawn from, when the
+    recorder gave one; it is kept in memory only, so a ledger read back from
+    CSV has none.  While a solve holds the ledger (:meth:`_holding`), T(x)
+    of each entry and its log density under that parameter are kept too.
     Which entries repeat an earlier point exactly (:meth:`_copies`) is
     worked out once per entry, when a Voronoi search first reads it.
     """
@@ -204,15 +203,8 @@ class EvalStack:
         self._values = np.empty(0)
         self._steps = np.empty(0, dtype=int)
         self.generation_params = {}
-        # Log density of the first entries under their steps' parameters, the
-        # family it was taken in, the steps those entries cover, and the bytes
-        # of the covered steps' parameters stacked in that order.
-        self._log_den = np.empty(0)
-        self._log_den_family = None
-        self._log_den_steps = []
-        self._log_den_theta = b""
-        # (family, T table, rows filled) while a solve holds the ledger.
-        self._held_suff_stat = None
+        # (family, {name: [table, rows filled]}) while a solve holds the ledger.
+        self._held = None
         # Which of the first entries repeat an earlier point, and the indices
         # of the distinct points among them, sorted by the points' bytes.
         self._copy_mask = np.empty(0, dtype=bool)
@@ -238,7 +230,7 @@ class EvalStack:
         return self._steps
 
     def record(self, points, values, step, theta=None):
-        """Append a batch of evaluations charged to ``step``.
+        """Append a batch of evaluations charged to ``step``, at least :meth:`next_step`.
 
         ``theta``, if given, is the natural parameter the batch was drawn
         from; it is stored in ``generation_params`` under ``step``.
@@ -249,74 +241,73 @@ class EvalStack:
             raise ValueError("points and values shapes do not align")
         if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(vals))):
             raise ValueError("refusing to record non-finite evaluations")
+        step = int(step)
+        if step < self.next_step():
+            raise ValueError(f"step {step} is already charged; the next step is {self.next_step()}")
         self._points = np.concatenate([self._points, pts], axis=0)
         self._values = np.concatenate([self._values, vals])
-        self._steps = np.concatenate([self._steps, np.full(vals.size, int(step), dtype=int)])
-        if int(step) in self._log_den_steps:
-            # The step's batch grew, so its densities are evaluated anew.
-            self._log_den, self._log_den_steps, self._log_den_theta = np.empty(0), [], b""
+        self._steps = np.concatenate([self._steps, np.full(vals.size, step, dtype=int)])
         if theta is not None:
-            self.generation_params[int(step)] = np.array(theta, dtype=float)
+            self.generation_params[step] = np.array(theta, dtype=float)
         return self
+
+    @contextmanager
+    def _holding(self, family, rows):
+        """Hold T(x) and generating log densities under ``family`` until the block exits.
+
+        Each table is allocated once, for ``rows`` entries, so the kernel maps
+        its pages only as entries fill them.
+        """
+        empty = {"suff_stat": np.empty((rows, family.dim)), "log_density": np.empty(rows)}
+        self._held = family, {name: [table, 0] for name, table in empty.items()}
+        try:
+            yield self
+        finally:
+            self._held = None
+
+    def _held_rows(self, name, family, evaluate):
+        """Table ``name`` of every entry; ``evaluate(start)`` gives the rows from ``start`` on.
+
+        A table held in ``family`` evaluates only the entries appended since
+        its last read; otherwise every entry is evaluated.
+        """
+        held = self._held[1][name] if self._held is not None and self._held[0] == family else None
+        if held is None or len(held[0]) < len(self):
+            return evaluate(0)
+        table, filled = held
+        if filled < len(self):
+            table[filled : len(self)] = evaluate(filled)
+            held[1] = len(self)
+        return table[: len(self)]
+
+    def _suff_stat(self, family):
+        """T(x) of every entry."""
+        return self._held_rows("suff_stat", family, lambda i: family.suff_stat(self._points[i:]))
 
     def _generation_log_density(self, family, generation_params):
         """Log density of each entry under the parameter that drew its step's batch.
 
-        ``generation_params`` maps each step to that parameter.  Densities
-        are evaluated one step's batch at a time and memoised; a later call
-        evaluates only the entries appended since.  The memo is rebuilt for
-        another family, when a covered step's parameter differs in its
-        bytes, and after a record to a covered step.  The covered steps'
-        parameters are compared as one stacked array, so a call that finds
-        nothing appended costs a fixed number of numpy calls.
+        ``generation_params`` maps each step to that parameter.  A hold keeps
+        the densities only under the ledger's own ``generation_params``.
         """
-        done = self._log_den.size
-        covered = len(self._log_den_steps)
-        steps = self._log_den_steps + np.unique(self._steps[done:]).tolist()
-        try:
-            thetas = np.array([*map(generation_params.__getitem__, steps)], dtype=float)
-        except KeyError:
-            missing = min(step for step in steps if step not in generation_params)
-            raise ValueError(
-                f"missing generation parameter for step {missing}: importance weighting "
-                "needs the parameter that drew each batch, and a ledger read with "
-                "EvalStack.from_csv has none"
-            ) from None
-        if family != self._log_den_family or thetas[:covered].tobytes() != self._log_den_theta:
-            self._log_den, self._log_den_family = np.empty(0), family
-            done = covered = 0
-        rows = self._steps[done:]
-        log_den = np.empty(rows.size)
-        for step, theta in zip(steps[covered:], thetas[covered:]):
-            mask = rows == step
-            log_den[mask] = family.log_density(theta, self._points[done:][mask])
-        self._log_den = np.concatenate([self._log_den, log_den])
-        self._log_den_steps, self._log_den_theta = steps, thetas.tobytes()
-        return self._log_den
 
-    @contextmanager
-    def _holding_suff_stat(self, family, rows):
-        """Keep T(x) under ``family`` of up to ``rows`` entries until the block exits.
+        def evaluate(start):
+            steps, points = self._steps[start:], self._points[start:]
+            log_den = np.empty(steps.size)
+            for step in np.unique(steps).tolist():
+                if step not in generation_params:
+                    raise ValueError(
+                        f"missing generation parameter for step {step}: importance weighting needs "
+                        "the parameter that drew each batch, and a ledger read with "
+                        "EvalStack.from_csv has none"
+                    )
+                mask = steps == step
+                log_den[mask] = family.log_density(generation_params[step], points[mask])
+            return log_den
 
-        The table is allocated once, so the kernel maps its pages only as
-        entries fill them.
-        """
-        self._held_suff_stat = family, np.empty((rows, family.dim)), 0
-        try:
-            yield self
-        finally:
-            self._held_suff_stat = None
-
-    def _suff_stat(self, family):
-        """T(x) of every entry; a held table evaluates only appended entries."""
-        held = self._held_suff_stat
-        if held is None or held[0] != family or len(held[1]) < len(self):
-            return family.suff_stat(self._points)
-        _, table, filled = held
-        if filled < len(self):
-            table[filled : len(self)] = family.suff_stat(self._points[filled:])
-            self._held_suff_stat = family, table, len(self)
-        return table[: len(self)]
+        if generation_params is not self.generation_params:
+            return evaluate(0)
+        return self._held_rows("log_density", family, evaluate)
 
     def _copies(self):
         """True for each entry whose point repeats an earlier entry's exactly.

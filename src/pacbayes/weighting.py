@@ -337,9 +337,9 @@ def importance_weights(stack, family, theta, generation_params):
     """Self-normalized density-ratio weights d(pi_theta) / d(pi_generation).
 
     ``generation_params`` maps each ledger step index to the natural
-    parameter the batch was drawn from.  The ledger memoises each entry's
-    log density under its generating parameter, so repeated calls pay only
-    for the numerator and for the entries appended since.
+    parameter the batch was drawn from.  A solve holds each entry's log
+    density under the ledger's own ``generation_params``, so its later calls
+    pay only for the numerator and for the entries appended since.
     """
     if len(stack) == 0:
         raise ValueError("evaluation stack is empty")

@@ -344,6 +344,21 @@ def test_cli_run_and_aggregate(tmp_path):
     assert len(lines) > 1
 
 
+def test_cli_unreadable_configs_exit_2(tmp_path, capsys):
+    # a file that is not JSON, a binary file, and a directory are invalid configs
+    not_json = tmp_path / "not.json"
+    not_json.write_text("{method: supac_ce}")
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for path in (not_json, binary):
+        assert main(["run", "--config", str(path)]) == 2
+        assert f"error: {path}: not a JSON file" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="not a JSON file"):
+        run_experiment(not_json)
+    assert main(["run", "--config", str(tmp_path)]) == 2
+    assert str(tmp_path) in capsys.readouterr().err
+
+
 def test_cli_error_exit_codes(tmp_path, capsys):
     bad_cfg = tmp_path / "bad.json"
     bad_cfg.write_text(json.dumps({"method": "sgd_fancy"}))

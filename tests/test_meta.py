@@ -76,7 +76,7 @@ def test_synthetic_task_sampling():
         task = sample_synthetic_task(seed, 4, env=env, lam=0.2)
         assert task.lam == 0.2
         assert task.risk.predictor_dim == 4
-        assert len(task.stack) == 0
+        assert task.stack is None and task.posterior is None
         omegas.append(task.risk.omega)
         # risk minimum sits at the drawn x0
         assert eval_risk(task.risk, task.risk.x0) == pytest.approx(np.tanh(0.1))
@@ -109,7 +109,7 @@ def test_task_json_round_trip():
     x = rng.standard_normal((10, 3))
     for a, b in zip(tasks, back):
         assert b.lam == a.lam
-        assert len(b.stack) == 0
+        assert b.stack is None and b.posterior is None
         np.testing.assert_allclose(eval_risk(b.risk, x), eval_risk(a.risk, x), rtol=1e-15)
 
 
@@ -278,6 +278,13 @@ def test_evaluate_prior_ranks_priors_and_leaves_tasks_alone():
     score_near = evaluate_prior(fam, tasks, theta_near, inner, seed=0)
     assert score_near < score_far
     assert all(t.posterior is None and len(t.stack) == 0 for t in tasks)
+
+
+def test_evaluate_prior_needs_a_task():
+    # a mean over no tasks would be nan; refuse it as run_meta_sgd does
+    fam = GaussianFamily(1)
+    with pytest.raises(ValueError, match="at least one task is required"):
+        evaluate_prior(fam, [], standard_normal_params(fam), exact_inner_config(), seed=0)
 
 
 def test_inner_solve_failures_name_the_task():

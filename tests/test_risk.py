@@ -129,6 +129,23 @@ def test_eval_stack_accounting():
     assert stack.next_step() == 2
 
 
+def test_eval_stack_charges_each_step_once():
+    # A second batch for a charged step would relabel the step's generating
+    # parameter, and importance weights would weigh the first batch's rows as
+    # drawn from the second's.
+    stack = EvalStack(1)
+    drew_a, drew_b = np.array([0.0, -0.5]), np.array([2.0, -0.5])
+    stack.record([[0.0], [1.0]], [0.0, 0.0], step=0, theta=drew_a)
+    with pytest.raises(ValueError, match="step 0 is already charged"):
+        stack.record([[4.0], [5.0]], [0.0, 0.0], step=0, theta=drew_b)
+    assert len(stack) == 2 and stack.next_step() == 1
+    np.testing.assert_array_equal(stack.generation_params[0], drew_a)
+    stack.record([[2.0]], [0.0], step=3, theta=drew_b)  # later steps may skip indices
+    with pytest.raises(ValueError, match="step 2 is already charged"):
+        stack.record([[3.0]], [0.0], step=2)
+    np.testing.assert_array_equal(stack.steps, [0, 0, 3])
+
+
 def test_eval_stack_rejects_bad_input():
     stack = EvalStack(2)
     with pytest.raises(ValueError):

@@ -652,7 +652,10 @@ def test_solves_factor_each_parameter_once_and_match_solves_without_the_memo(
             theta, trace, stack = run_supac_ce(risk, fam, theta_p, theta0, cfg, seed=seed, stack=stack)
             path = tmp_path / f"trace-{memo_size}-{seed}.csv"
             trace.to_csv(path)
-            distinct = {th.tobytes() for th in (theta_p, theta0, *trace.thetas)}
+            # an importance solve also takes densities under the parameters
+            # that drew the ledger it inherits
+            drew = stack.generation_params.values() if weighting == "importance" else ()
+            distinct = {th.tobytes() for th in (theta_p, theta0, *trace.thetas, *drew)}
             outputs = (theta, stack.points, stack.values, stack.steps, path.read_bytes())
             runs.append((outputs, len(factorizations), len(distinct)))
             theta0 = theta
@@ -667,6 +670,9 @@ def test_solves_factor_each_parameter_once_and_match_solves_without_the_memo(
 
 
 def test_solver_holds_suff_stats_only_while_it_runs():
+    # T(x) and the generating log densities are held while the solve runs
+    # and dropped when it returns or raises; nothing derived from a family
+    # is left on the ledger.
     fam = GaussianFamily(2)
     theta_p = standard_normal_params(fam)
     config = small_config(weighting="importance", max_steps=2)
@@ -674,16 +680,21 @@ def test_solver_holds_suff_stats_only_while_it_runs():
     held = []
 
     def risk(x):
-        held.append(stack._held_suff_stat is not None)
+        tables = stack._held[1] if stack._held is not None else {}
+        held.append({name: filled for name, (_, filled) in tables.items()})
         if len(held) == 3:
             raise RuntimeError("risk failed")
         return np.sin(x).sum(axis=1)
 
     run_supac_ce(CustomRisk(risk, 2), fam, theta_p, theta_p, config, seed=0, stack=stack)
-    assert held == [True, True] and stack._held_suff_stat is None
+    # the first draw finds both tables empty, the second both filled by step 0
+    n0 = config.queries_at(0)
+    assert held == [{"suff_stat": 0, "log_density": 0}, {"suff_stat": n0, "log_density": n0}]
+    assert stack._held is None
     with pytest.raises(RuntimeError, match="risk failed"):
         run_supac_ce(CustomRisk(risk, 2), fam, theta_p, theta_p, config, seed=1, stack=stack)
-    assert held[2] and stack._held_suff_stat is None
+    assert held[2] == {"suff_stat": 0, "log_density": 0} and stack._held is None
+    assert not [name for name in vars(stack) if name.startswith("_log_den")]
 
 
 def test_solver_rejects_out_of_domain_inputs():

@@ -1,7 +1,8 @@
-"""The package root exports exactly the names its documented users import."""
+"""The package surface: the names the root exports, and the modules the package imports."""
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pacbayes
@@ -72,3 +73,20 @@ def test_root_exports_are_pinned_and_resolve():
     assert pacbayes.__all__ == EXPORTS
     for name in pacbayes.__all__:
         assert getattr(pacbayes, name) is not None, name
+
+
+def test_the_package_imports_nothing_beyond_the_standard_library_numpy_and_scipy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "scipy"}
+    imported = {}
+    for path in sorted((REPO / "src" / "pacbayes").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                imported.setdefault(module.partition(".")[0], []).append(path.name)
+    assert {"numpy", "scipy", "json"} <= set(imported)
+    assert not set(imported) - allowed, {m: imported[m] for m in set(imported) - allowed}

@@ -511,18 +511,23 @@ def test_importance_weights_memo_matches_a_fresh_stack():
             fresh.record(pts, np.zeros(len(pts)), step)
         w = importance_weights(stack, family, target, generation)
         np.testing.assert_array_equal(w, importance_weights(fresh, family, target, generation))
-        assert stack._log_den.size <= len(stack)
 
-    record(0, thetas[0])
-    record(1, thetas[1])
-    check(fam, stack.generation_params)
-    record(2, thetas[2])  # a new step
-    check(fam, stack.generation_params)
-    record(1, thetas[1])  # more rows for an existing step, same parameter
-    check(fam, stack.generation_params)
-    check(fam, {0: thetas[1], 1: thetas[2], 2: thetas[0]})
-    check(fam, stack.generation_params)
-    check(other, stack.generation_params)
+    with stack._holding(fam, 30):
+        record(0, thetas[0])
+        record(1, thetas[1])
+        check(fam, stack.generation_params)
+        record(2, thetas[2])  # a new step
+        check(fam, stack.generation_params)
+        # more rows for a charged step are refused, so held densities never go stale
+        with pytest.raises(ValueError, match="step 1 is already charged"):
+            record(1, thetas[1])
+        record(4, thetas[1])  # a later step, one index skipped
+        check(fam, stack.generation_params)
+        check(fam, {0: thetas[1], 1: thetas[2], 2: thetas[0], 4: thetas[3]})
+        check(fam, stack.generation_params)
+        check(other, stack.generation_params)
+        assert stack._held[1]["log_density"][1] == len(stack)
+    assert stack._held is None
 
 
 def test_importance_and_project_on_a_grown_stack_match_a_fresh_stack():
@@ -530,13 +535,14 @@ def test_importance_and_project_on_a_grown_stack_match_a_fresh_stack():
     rng = np.random.default_rng(71)
     thetas = [random_theta(fam, rng, mean_scale=0.3) for _ in range(5)]
     target = thetas[-1]
+    drawn = dict(enumerate(thetas))  # the parameter that drew each step's batch
     stack = EvalStack(3)
 
     def fresh():
         other = EvalStack(3)
         for step in np.unique(stack.steps).tolist():
             mask = stack.steps == step
-            other.record(stack.points[mask], stack.values[mask], step, theta=thetas[step])
+            other.record(stack.points[mask], stack.values[mask], step, theta=drawn[step])
         return other
 
     def check(step):
@@ -549,20 +555,25 @@ def test_importance_and_project_on_a_grown_stack_match_a_fresh_stack():
             assert (fit.offset, fit.weighted_rss, fit.gram_condition) == (
                 fresh_fit.offset, fresh_fit.weighted_rss, fresh_fit.gram_condition
             )
-        assert stack._held_suff_stat[2] == len(stack)
+        tables = stack._held[1]
+        assert tables["suff_stat"][1] == tables["log_density"][1] == len(stack)
 
-    with stack._holding_suff_stat(fam, 60):
+    with stack._holding(fam, 60):
         for step, theta in enumerate(thetas):
             pts = fam.sample(theta, 7 + step, seed=step)
             stack.record(pts, np.sin(pts).sum(axis=1), step, theta=theta)
             check(step)
-        # More rows for the last step: its densities are taken over the whole batch again.
+        # More rows for the last step are refused; a new step drawn from the
+        # same parameter takes them.
         pts = fam.sample(thetas[-1], 9, seed=len(thetas))
-        stack.record(pts, np.sin(pts).sum(axis=1), len(thetas) - 1, theta=thetas[-1])
-        check(len(thetas) - 1)
-    assert stack._held_suff_stat is None
+        with pytest.raises(ValueError, match=f"step {len(thetas) - 1} is already charged"):
+            stack.record(pts, np.sin(pts).sum(axis=1), len(thetas) - 1, theta=thetas[-1])
+        drawn[len(thetas)] = thetas[-1]
+        stack.record(pts, np.sin(pts).sum(axis=1), len(thetas), theta=thetas[-1])
+        check(len(thetas))
+    assert stack._held is None
     # A ledger larger than the held table is read afresh, not truncated.
-    with stack._holding_suff_stat(fam, len(stack) - 1):
+    with stack._holding(fam, len(stack) - 1):
         w = importance_weights(stack, fam, target, stack.generation_params)
         generation = stack.generation_params
         np.testing.assert_array_equal(w, importance_weights(fresh(), fam, target, generation))
